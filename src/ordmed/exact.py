@@ -10,7 +10,7 @@ from itertools import combinations
 from .errors import ConvergenceError, SizeGuardError
 from .formulations import DompModel, build_bep, fractionality_report
 from .instance import CenterSolution, Instance
-from .lp_core import solve_lp
+from .lp_core import RESIDUAL_TOL, check_solution, solve_lp
 from .ordered_median import closest_allocation
 
 ENUMERATION_CAP = 10**7
@@ -62,7 +62,9 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     """Solve both ways and report whether the relaxation is exact here.
 
     A prebuilt relaxed model for the same instance may be passed to avoid
-    rebuilding; values are still recomputed from scratch.
+    rebuilding; values are still recomputed from scratch. Raises
+    ConvergenceError when the relaxation is not solved to optimality or its
+    check_solution residual exceeds RESIDUAL_TOL.
     """
     t0 = time.perf_counter()
     best = solve_enumeration(inst)
@@ -75,6 +77,12 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     if not sol.is_optimal():
         raise ConvergenceError(f"relaxation solve ended {sol.status}",
                                sol.iterations)
+    # a verdict never rests on a vertex that fails its own optimality check
+    residual = check_solution(model.lp, sol).max_residual()
+    if residual > RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"relaxation residual {residual:.3e} exceeds {RESIDUAL_TOL:g}",
+            sol.iterations)
     v_ip = float(best.value)
     v_lp = float(sol.value)
     tol = RECOVERY_RTOL * (1.0 + abs(v_ip))

@@ -1,18 +1,26 @@
-"""Self-contained dense two-phase simplex over a bounded-variable LP.
+"""Self-contained bounded-variable revised simplex.
 
 The model is minimization with rows of relation <=, =, or >= and simple
-variable bounds (default lower 0; declared-free variables are split into
-two nonnegative parts internally and recombined on output; finite upper
-bounds become internal rows). The solver keeps a dense tableau, pivots on
-the most negative reduced cost, switches to Bland's rule after a budget of
-degenerate pivots to guarantee termination, and refactorizes the tableau
-from the original data every 50 pivots for numerical hygiene.
+variable bounds (default lower 0; free variables allowed). Bounds are
+enforced at the ratio test (Dantzig 1955; Chvatal, Linear Programming,
+ch. 8), so no bound becomes a row and no free column is split. Each
+inequality row gets one slack. Artificials are added only for equality
+rows and rows whose slack cannot start within its bounds, each signed by
+the row's starting residual, so no row is ever flipped. Phase 1 minimizes
+the artificials; phase 2 pins them at zero and leaves any still basic in
+place, which also covers redundant equality rows.
+
+The solver keeps an explicit dense basis inverse with a rank-1 update per
+pivot, rebuilds it (and the basic values) from the original columns every
+REFACTOR_EVERY steps and before declaring a phase optimal, prices by the
+largest improving reduced cost, and switches to Bland's rule after a
+budget of degenerate pivots to guarantee termination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +36,7 @@ RATIO_TIE_TOL = 1e-9
 ITERATION_CAP = 10**6
 REFACTOR_EVERY = 50
 INTEGRALITY_TOL = 1e-6
+RESIDUAL_TOL = 1e-9  # largest check_solution residual a verdict may rest on
 
 
 class LinearProgram:
@@ -95,26 +104,6 @@ class LinearProgram:
             b[i] = rhs
         return a, rels, b
 
-    def dump(self) -> str:
-        """Plain-text rendering of the model (debugging aid, not interchange)."""
-        out = [f"name {self.name}", "min"]
-        obj_terms = " ".join(
-            f"{c:+.12g} {n}" for c, n in zip(self.obj, self.var_names) if c != 0.0
-        )
-        out.append(f"obj {obj_terms if obj_terms else '0'}")
-        for (cmap, rel, rhs), rname in zip(self.rows, self.row_names):
-            terms = " ".join(
-                f"{cmap[j]:+.12g} {self.var_names[j]}" for j in sorted(cmap)
-            )
-            out.append(f"row {rname}: {terms if terms else '0'} {rel} {rhs:.12g}")
-        for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if lo == 0.0 and math.isinf(hi):
-                continue
-            lo_s = "-inf" if math.isinf(lo) else f"{lo:.12g}"
-            hi_s = "inf" if math.isinf(hi) else f"{hi:.12g}"
-            out.append(f"bound {self.var_names[j]}: {lo_s} <= . <= {hi_s}")
-        return "\n".join(out) + "\n"
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -123,6 +112,7 @@ class LpSolution:
     Dual sign convention under minimization: <= rows yield duals <= 0,
     >= rows yield duals >= 0, equality rows are unrestricted. upper_duals
     holds one multiplier per variable (0 unless its finite upper binds).
+    iterations counts simplex pivots plus bound flips over both phases.
     """
 
     status: str
@@ -153,295 +143,220 @@ class ResidualReport:
                    self.complementary_slackness, self.duality_gap)
 
 
-class _Standardized:
-    """Equality form min c.x, Ax=b, x>=0 derived from a LinearProgram."""
+class _BoundedSimplex:
+    """Revised simplex over [A | slacks | artificials] x = b, lo <= x <= hi.
+
+    Columns are the user columns, one slack per inequality row (coefficient
+    +1, bounds [0, inf) for <= and (-inf, 0] for >=), then one artificial
+    per row whose slack cannot start within its bounds, signed by that
+    row's starting residual. Nonbasic columns sit at a finite lower bound,
+    else at a finite upper bound, else at 0.
+    """
 
     def __init__(self, lp: LinearProgram):
-        a_user, rels, b_user = lp.dense()
-        n = lp.n_vars
-        lower = np.array(lp.lower)
-        upper = np.array(lp.upper)
-        self.free = ~np.isfinite(lower)
-        self.shift = np.where(self.free, 0.0, lower)
+        a_user, rels, b = lp.dense()
+        k, n = a_user.shape
+        ineq = np.array([i for i, rel in enumerate(rels) if rel != "="], dtype=int)
+        le = np.array([rels[i] == "<=" for i in ineq], dtype=bool)
+        lo = np.concatenate([lp.lower, np.where(le, 0.0, -np.inf)])
+        hi = np.concatenate([lp.upper, np.where(le, np.inf, 0.0)])
+        x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
 
-        # structural columns: one per bounded var, two (+/-) per free var
-        self.col_of = np.zeros(n, dtype=int)
-        self.neg_col_of = np.full(n, -1, dtype=int)
-        cols = []
-        c_struct = []
-        for j in range(n):
-            self.col_of[j] = len(cols)
-            cols.append((j, +1.0))
-            c_struct.append(lp.obj[j])
-            if self.free[j]:
-                self.neg_col_of[j] = len(cols)
-                cols.append((j, -1.0))
-                c_struct.append(-lp.obj[j])
-        n_struct = len(cols)
-
-        a_std = np.zeros((n, n_struct))
-        for k, (j, sgn) in enumerate(cols):
-            a_std[j, k] = sgn
-        # row coefficients over structural columns
-        a_rows = a_user @ a_std
-        b_rows = b_user - a_user @ self.shift
-
-        # finite upper bounds become internal rows x'_j <= u_j - l_j
-        self.bounded_vars = [j for j in range(n) if math.isfinite(upper[j])]
-        bound_a = np.zeros((len(self.bounded_vars), n_struct))
-        bound_b = np.zeros(len(self.bounded_vars))
-        for t, j in enumerate(self.bounded_vars):
-            bound_a[t, self.col_of[j]] = 1.0
-            bound_b[t] = upper[j] - self.shift[j]
-
-        all_a = np.vstack([a_rows, bound_a]) if len(self.bounded_vars) else a_rows
-        all_b = np.concatenate([b_rows, bound_b])
-        all_rels = rels + ["<="] * len(self.bounded_vars)
-        k_rows = all_a.shape[0]
-
-        # flip rows to make b >= 0, remembering signs for dual recovery
-        self.row_sign = np.ones(k_rows)
-        for i in range(k_rows):
-            if all_b[i] < 0:
-                all_a[i] *= -1.0
-                all_b[i] *= -1.0
-                self.row_sign[i] = -1.0
-                all_rels[i] = {"<=": ">=", ">=": "<=", "=": "="}[all_rels[i]]
-
-        # slack/surplus columns, then artificials where a slack cannot start
-        slack_cols = []
-        art_rows = []
-        for i, rel in enumerate(all_rels):
-            if rel == "<=":
-                slack_cols.append((i, +1.0))
-            elif rel == ">=":
-                slack_cols.append((i, -1.0))
-                if all_b[i] > 0.0:
-                    art_rows.append(i)
-            else:
-                art_rows.append(i)
-
-        n_slack = len(slack_cols)
-        n_art = len(art_rows)
-        total = n_struct + n_slack + n_art
-        big_a = np.zeros((k_rows, total))
-        big_a[:, :n_struct] = all_a
-        self.slack_col_of_row = np.full(k_rows, -1, dtype=int)
-        for t, (i, sgn) in enumerate(slack_cols):
-            big_a[i, n_struct + t] = sgn
-            self.slack_col_of_row[i] = n_struct + t
-        self.art_start = n_struct + n_slack
-        basis = np.full(k_rows, -1, dtype=int)
-        for t, i in enumerate(art_rows):
-            big_a[i, self.art_start + t] = 1.0
-            basis[i] = self.art_start + t
-        for i in range(k_rows):
-            if basis[i] < 0:
-                basis[i] = self.slack_col_of_row[i]
-
-        self.A = big_a
-        self.b = all_b
-        self.c2 = np.concatenate([np.array(c_struct), np.zeros(n_slack + n_art)])
-        self.c1 = np.concatenate([np.zeros(n_struct + n_slack), np.ones(n_art)])
-        self.initial_basis = basis
-        self.n_struct = n_struct
-        self.n_user_rows = lp.n_rows
-        self.lp = lp
-
-
-class _Simplex:
-    """Dense tableau engine over a _Standardized model."""
-
-    def __init__(self, std: _Standardized):
-        self.std = std
-        self.k, self.n = std.A.shape
-        self.basis = std.initial_basis.copy()
-        self.row_ids = np.arange(self.k)  # surviving original row indexes
-        self.T = np.hstack([std.A, std.b[:, None]])
-        self.eligible = np.ones(self.n, dtype=bool)
+        resid = b - a_user @ x[:n]
+        slack_ok = (lo[n:] <= resid[ineq]) & (resid[ineq] <= hi[n:])
+        basis = np.full(k, -1, dtype=int)
+        basis[ineq[slack_ok]] = n + np.nonzero(slack_ok)[0]
+        art_rows = np.nonzero(basis < 0)[0]
+        art_start = n + len(ineq)
+        basis[art_rows] = art_start + np.arange(len(art_rows))
+        # slack and artificial columns are signed unit vectors of these rows
+        self.unit_rows = np.concatenate([ineq, art_rows])
+        self.unit_sign = np.concatenate(
+            [np.ones(len(ineq)), np.where(resid[art_rows] < 0.0, -1.0, 1.0)])
+        self.n = n
+        self.a_user = a_user
+        self.A = np.hstack([a_user, np.eye(k)[:, self.unit_rows] * self.unit_sign])
+        self.b = b
+        self.k, total = self.A.shape
+        self.lo = np.concatenate([lo, np.zeros(len(art_rows))])
+        self.hi = np.concatenate([hi, np.full(len(art_rows), np.inf)])
+        self.x = np.concatenate([x, np.zeros(len(art_rows))])
+        self.art = slice(art_start, total)
+        self.c1 = np.zeros(total)
+        self.c1[self.art] = 1.0
+        self.c2 = np.zeros(total)
+        self.c2[:n] = lp.obj
+        self.basis = basis
+        self.is_basic = np.zeros(total, dtype=bool)
+        self.is_basic[basis] = True
         self.iterations = 0
-        self.pivots_since_refactor = 0
         self.degenerate_pivots = 0
         self.bland = False
-        self.bland_budget = 5 * (self.k + self.n)
-        self.b_scale = 1.0 + float(np.max(std.b)) if self.k else 1.0
-        self.rc = np.zeros(self.n)
-        self.costs = std.c1
+        self.bland_budget = 5 * (self.k + total)
+        self.b_scale = 1.0 + float(np.max(np.abs(resid), initial=0.0))
+        self.refactor()
 
     def refactor(self) -> None:
-        """Rebuild the tableau and reduced costs from original data."""
-        if self.k == 0:
-            self.rc = self.costs.copy()
-            return
-        alive = self.row_ids
-        bmat = self.std.A[np.ix_(alive, self.basis)]
-        rhs = np.hstack([self.std.A[alive], self.std.b[alive, None]])
+        """Rebuild B^-1 from the original columns and x_B from b - A_N x_N.
+
+        Basic slacks and artificials are signed unit columns, so only the
+        block of structural basic columns on the rows no unit column covers
+        is inverted; the rest of B^-1 follows by block elimination.
+        """
+        n = self.n
+        pos_u = np.nonzero(self.basis >= n)[0]
+        pos_s = np.nonzero(self.basis < n)[0]
+        rows_u = self.unit_rows[self.basis[pos_u] - n]
+        sign_u = self.unit_sign[self.basis[pos_u] - n]
+        rows_s = np.setdiff1d(np.arange(self.k), rows_u)
+        cols = self.a_user[:, self.basis[pos_s]]
         try:
-            self.T = np.linalg.solve(bmat, rhs)
+            if len(rows_s) != len(pos_s):
+                raise np.linalg.LinAlgError("two unit columns share a row")
+            g = np.linalg.inv(cols[rows_s])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"basis matrix became singular: {exc}", self.iterations
             )
+        self.binv = np.zeros((self.k, self.k))
+        self.binv[np.ix_(pos_s, rows_s)] = g
+        self.binv[np.ix_(pos_u, rows_s)] = -sign_u[:, None] * (cols[rows_u] @ g)
+        self.binv[pos_u, rows_u] = sign_u
+        x_nonbasic = np.where(self.is_basic, 0.0, self.x)
+        self.x[self.basis] = self.binv @ (self.b - self.A @ x_nonbasic)
+        self.stale = 0
+
+    def _entering(self) -> tuple[int, float] | None:
+        """Improving nonbasic column and its direction (+1 up, -1 down)."""
         cb = self.costs[self.basis]
-        self.rc = self.costs - cb @ self.T[:, :-1]
-        self.pivots_since_refactor = 0
-
-    def set_phase(self, costs: np.ndarray) -> None:
-        self.costs = costs
-        self.refactor()
-
-    def objective(self) -> float:
-        if self.k == 0:
-            return 0.0
-        return float(self.costs[self.basis] @ self.T[:, -1])
-
-    def _entering(self) -> int | None:
-        rc = np.where(self.eligible, self.rc, np.inf)
-        if self.bland:
-            below = np.nonzero(rc < -PIVOT_TOL)[0]
-            return int(below[0]) if below.size else None
-        j = int(np.argmin(rc))
-        return j if rc[j] < -PIVOT_TOL else None
-
-    def _leaving(self, j: int) -> int | None:
-        col = self.T[:, j]
-        pos = col > PIVOT_TOL
-        if not np.any(pos):
+        nz = np.nonzero(cb)[0]
+        self.y = cb[nz] @ self.binv[nz]
+        self.d = self.costs - np.concatenate(
+            [self.y @ self.a_user, self.y[self.unit_rows] * self.unit_sign])
+        nonbasic = ~self.is_basic
+        up = nonbasic & (self.d < -PIVOT_TOL) & (self.x < self.hi)
+        down = nonbasic & (self.d > PIVOT_TOL) & (self.x > self.lo)
+        cand = np.nonzero(up | down)[0]
+        if not cand.size:
             return None
-        ratios = np.where(pos, self.T[:, -1] / np.where(pos, col, 1.0), np.inf)
-        theta = float(np.min(ratios))
+        if self.bland:
+            j = int(cand[0])
+        else:
+            j = int(cand[np.argmax(np.abs(self.d[cand]))])
+        return j, (1.0 if up[j] else -1.0)
+
+    def _ratio_test(self, j: int, delta: np.ndarray) -> tuple[int, float]:
+        """Blocking basis row and step length; row -1 means j flips bounds.
+
+        delta is the rate of change of the basic values per unit step.
+        """
+        xb = self.x[self.basis]
+        lo = self.lo[self.basis]
+        hi = self.hi[self.basis]
+        ratios = np.full(self.k, np.inf)
+        dec = delta < -PIVOT_TOL
+        inc = delta > PIVOT_TOL
+        ratios[dec] = (xb[dec] - lo[dec]) / -delta[dec]
+        ratios[inc] = (hi[inc] - xb[inc]) / delta[inc]
+        np.maximum(ratios, 0.0, out=ratios)
+        theta = float(ratios.min(initial=np.inf))
+        flip = self.hi[j] - self.lo[j]
+        if flip <= theta:
+            return -1, flip
         if self.bland:
             # exact argmin set + smallest basic-variable id keeps Bland valid
-            ties = np.nonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))[0]
+            ties = np.nonzero(ratios <= theta + 1e-12 * (1.0 + theta))[0]
             r = int(ties[np.argmin(self.basis[ties])])
         else:
             # among near-tied ratios take the largest pivot entry; a pivot
             # barely above PIVOT_TOL amplifies round-off by its reciprocal
-            ties = np.nonzero(ratios <= theta + RATIO_TIE_TOL * (1.0 + abs(theta)))[0]
-            r = int(ties[np.argmax(col[ties])])
+            ties = np.nonzero(ratios <= theta + RATIO_TIE_TOL * (1.0 + theta))[0]
+            r = int(ties[np.argmax(np.abs(delta[ties]))])
         if theta <= PIVOT_TOL * self.b_scale:
             self.degenerate_pivots += 1
             if self.degenerate_pivots > self.bland_budget:
                 self.bland = True
-        return r
+        return r, theta
 
-    def _pivot(self, r: int, j: int) -> None:
-        leaving = self.basis[r]
-        if leaving >= self.std.art_start:
-            self.eligible[leaving] = False
-        piv = self.T[r, j]
-        self.T[r] /= piv
-        col = self.T[:, j].copy()
-        col[r] = 0.0
-        self.T -= np.outer(col, self.T[r])
-        self.rc -= self.rc[j] * self.T[r, :-1]
-        self.basis[r] = j
+    def _step(self, j: int, sign: float, r: int, theta: float,
+              alpha: np.ndarray) -> None:
+        delta = -sign * alpha
+        self.x[self.basis] += theta * delta
+        if r < 0:
+            self.x[j] = self.hi[j] if sign > 0 else self.lo[j]
+        else:
+            self.x[j] += sign * theta
+            leaving = self.basis[r]
+            self.x[leaving] = self.lo[leaving] if delta[r] < 0 else self.hi[leaving]
+            self.is_basic[leaving] = False
+            self.is_basic[j] = True
+            self.basis[r] = j
+            row = self.binv[r] / alpha[r]
+            # the update touches only rows where alpha and columns where
+            # row are nonzero; both stay sparse on the ordered-median models
+            rows = np.nonzero(alpha)[0]
+            cols = np.nonzero(row)[0]
+            self.binv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
+            self.binv[r] = row
         self.iterations += 1
-        self.pivots_since_refactor += 1
-        if self.pivots_since_refactor >= REFACTOR_EVERY:
+        self.stale += 1
+        if self.stale >= REFACTOR_EVERY:
             self.refactor()
 
-    def run(self) -> str:
-        """Iterate the current phase to optimality; report Unbounded if met."""
+    def run(self, costs: np.ndarray) -> str:
+        """Iterate under costs until optimal on a fresh B^-1, or unbounded."""
+        self.costs = costs
         while True:
             if self.iterations >= ITERATION_CAP:
                 raise ConvergenceError("simplex hit the iteration cap", self.iterations)
-            j = self._entering()
-            if j is None:
-                return OPTIMAL
-            r = self._leaving(j)
-            if r is None:
-                return UNBOUNDED
-            # A near-zero pivot on a stale tableau is usually accumulated
-            # round-off; rebuild from original data and re-select.
-            if abs(self.T[r, j]) < PIVOT_SAFETY and self.pivots_since_refactor > 0:
+            entering = self._entering()
+            if entering is None:
+                if not self.stale:
+                    return OPTIMAL
                 self.refactor()
                 continue
-            self._pivot(r, j)
-
-    def drop_artificials(self) -> None:
-        """Pivot basic artificials out; drop rows that prove redundant."""
-        keep = np.ones(self.k, dtype=bool)
-        for r in range(self.k):
-            if self.basis[r] < self.std.art_start:
+            j, sign = entering
+            col = self.A[:, j]
+            nz = np.nonzero(col)[0]
+            alpha = self.binv[:, nz] @ col[nz]
+            r, theta = self._ratio_test(j, -sign * alpha)
+            if math.isinf(theta):
+                return UNBOUNDED
+            # A near-zero pivot on a stale inverse is usually accumulated
+            # round-off; rebuild from original data and re-select.
+            if r >= 0 and abs(alpha[r]) < PIVOT_SAFETY and self.stale:
+                self.refactor()
                 continue
-            row = self.T[r, : self.std.art_start]
-            candidates = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-            candidates = candidates[self.eligible[candidates]]
-            if candidates.size:
-                self._pivot(r, int(candidates[0]))
-            else:
-                keep[r] = False
-        if not np.all(keep):
-            self.T = self.T[keep]
-            self.basis = self.basis[keep]
-            self.row_ids = self.row_ids[keep]
-            self.k = self.T.shape[0]
-        self.eligible[self.std.art_start:] = False
+            self._step(j, sign, r, theta, alpha)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase dense simplex; statuses are values, never exceptions."""
-    std = _Standardized(lp)
-    sim = _Simplex(std)
-
-    sim.set_phase(std.c1)
-    status = sim.run()
-    if status == UNBOUNDED:
+    """Two-phase bounded-variable simplex; statuses are values, never exceptions."""
+    sim = _BoundedSimplex(lp)
+    if sim.run(sim.c1) == UNBOUNDED:
         # the phase-1 objective is bounded below by zero; this is numerical
         raise ConvergenceError("phase 1 reported unbounded", sim.iterations)
-    if sim.objective() > 1e-7 * sim.b_scale:
+    if float(sim.c1 @ sim.x) > 1e-7 * sim.b_scale:
         return LpSolution(status=INFEASIBLE, iterations=sim.iterations)
-    sim.drop_artificials()
 
-    sim.set_phase(std.c2)
-    status = sim.run()
-    if status == UNBOUNDED:
+    # Pin the artificials at zero; a basic one leaves at the first pivot
+    # that would move it, and one on a redundant row never moves.
+    sim.hi[sim.art] = 0.0
+    if sim.run(sim.c2) == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, iterations=sim.iterations)
-    sim.refactor()
 
-    # primal values over structural columns
-    x_std = np.zeros(sim.n)
-    if sim.k:
-        x_std[sim.basis] = sim.T[:, -1]
     n = lp.n_vars
-    x = np.empty(n)
-    for j in range(n):
-        if std.free[j]:
-            x[j] = x_std[std.col_of[j]] - x_std[std.neg_col_of[j]]
-        else:
-            x[j] = x_std[std.col_of[j]] + std.shift[j]
-
-    # duals from the final basis: y = c_B B^-T, mapped through row flips
-    k_rows_total = std.A.shape[0]
-    y_int = np.zeros(k_rows_total)
-    if sim.k:
-        bmat = std.A[np.ix_(sim.row_ids, sim.basis)]
-        cb = std.c2[sim.basis]
-        y_alive = np.linalg.solve(bmat.T, cb)
-        y_int[sim.row_ids] = y_alive
-    y_int *= std.row_sign
-    y_user = y_int[: std.n_user_rows]
-    upper_duals = np.zeros(n)
-    for t, j in enumerate(std.bounded_vars):
-        upper_duals[j] = y_int[std.n_user_rows + t]
-
-    basis_user = set()
-    basic_cols = set(int(c) for c in sim.basis)
-    for j in range(n):
-        if std.col_of[j] in basic_cols:
-            basis_user.add(j)
-        elif std.free[j] and std.neg_col_of[j] in basic_cols:
-            basis_user.add(j)
-
+    x = sim.x[:n].copy()
+    # a fixed column's positive reduced cost belongs to its lower bound
+    at_upper = ~sim.is_basic[:n] & (x == sim.hi[:n])
     frac = np.abs(x - np.round(x))
     return LpSolution(
         status=OPTIMAL,
         x=x,
         value=float(np.dot(lp.obj, x)),
-        y=y_user,
-        upper_duals=upper_duals,
-        basis=frozenset(basis_user),
+        y=sim.y,
+        upper_duals=np.where(at_upper, np.minimum(sim.d[:n], 0.0), 0.0),
+        basis=frozenset(int(j) for j in sim.basis if j < n),
         integral_mask=frac <= INTEGRALITY_TOL,
         max_fractionality=float(np.max(frac)) if n else 0.0,
         iterations=sim.iterations,

@@ -9,6 +9,7 @@ rational basis enumeration for LP minima, and per-mode linear programs
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -60,16 +61,20 @@ def assignment_beats_closest(dist, lam, p) -> bool:
     return False
 
 
-def lp_vertex_oracle(c, rows, rels, b, upper):
-    """Exact LP minimum over 0 <= x <= upper by rational active-set search.
+def lp_vertex_oracle(c, rows, rels, b, upper, lower=None):
+    """Exact LP minimum over lower <= x <= upper by rational active-set search.
 
+    lower defaults to all zeros; an infinite bound adds no constraint.
     Enumerates all choices of n active constraints among rows and bounds,
+    always including a linearly independent subset of the equality rows,
     solves each square system in Fractions, keeps feasible points, and
     returns (min objective, argmin) or None when nothing is feasible.
     Intended for n <= 4 variables.
     """
     c = [Fraction(t).limit_denominator(10**9) for t in c]
     n = len(c)
+    if lower is None:
+        lower = [0.0] * n
     cons = []  # (coeffs, rel, rhs) with rel normalized to <= or =
     for row, rel, rhs in zip(rows, rels, b):
         coeffs = [Fraction(t).limit_denominator(10**9) for t in row]
@@ -80,16 +85,17 @@ def lp_vertex_oracle(c, rows, rels, b, upper):
             rel = "<="
         cons.append((coeffs, rel, rhs))
     for j in range(n):
-        e = [Fraction(0)] * n
-        e[j] = Fraction(-1)
-        cons.append((e, "<=", Fraction(0)))
-        e2 = [Fraction(0)] * n
-        e2[j] = Fraction(1)
-        cons.append((e2, "<=", Fraction(upper[j]).limit_denominator(10**9)))
-    eq_idx = [i for i, (_, rel, _) in enumerate(cons) if rel == "="]
+        for sign, bound in ((-1, lower[j]), (1, upper[j])):
+            if math.isinf(bound):
+                continue
+            e = [Fraction(0)] * n
+            e[j] = Fraction(sign)
+            cons.append((e, "<=", sign * Fraction(bound).limit_denominator(10**9)))
+    eq_idx = []
+    for i, (coeffs, rel, _) in enumerate(cons):
+        if rel == "=" and _rank([cons[t][0] for t in eq_idx] + [coeffs]) > len(eq_idx):
+            eq_idx.append(i)
     ineq_idx = [i for i, (_, rel, _) in enumerate(cons) if rel == "<="]
-    if len(eq_idx) > n:
-        eq_idx = eq_idx[:n]
     best = None
     argbest = None
     for extra in combinations(ineq_idx, n - len(eq_idx)):
@@ -117,6 +123,22 @@ def lp_vertex_oracle(c, rows, rels, b, upper):
     if best is None:
         return None
     return float(best), [float(t) for t in argbest]
+
+
+def _rank(vectors) -> int:
+    """Rank of Fraction row vectors by exact elimination."""
+    m = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [t - f * s for t, s in zip(m[r], m[rank])]
+        rank += 1
+    return rank
 
 
 def _solve_exact(a, b):

@@ -1,9 +1,13 @@
 """Enumeration solver and LP recovery reports against brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import ordmed.exact
 from ordmed import (
+    ConvergenceError,
     SizeGuardError,
     build_ot,
     make_weights,
@@ -112,3 +116,16 @@ class TestRecoveryStatus:
         rep = recovery_status(inst, model=build_ot(inst))
         assert rep.recovered
         assert rep.v_lp == pytest.approx(18.0, abs=1e-6)
+
+    def test_residual_breach_raises_instead_of_a_verdict(self, monkeypatch):
+        # A vertex whose duals no longer certify it must not yield a verdict,
+        # even when its primal value still matches the exact optimum.
+        solve = ordmed.exact.solve_lp
+
+        def perturbed(lp):
+            sol = solve(lp)
+            return dataclasses.replace(sol, y=sol.y + 1e-6)
+
+        monkeypatch.setattr(ordmed.exact, "solve_lp", perturbed)
+        with pytest.raises(ConvergenceError, match="residual"):
+            recovery_status(t1_instance("median", p=1))

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from ordmed import ParameterError
+from ordmed import ParameterError, lp_core
 from ordmed.lp_core import (
     INFEASIBLE,
     OPTIMAL,
+    RESIDUAL_TOL,
     UNBOUNDED,
     LinearProgram,
     check_solution,
@@ -142,10 +143,25 @@ def quarter(rng, lo, hi):
     return float(rng.integers(int(lo * 4), int(hi * 4) + 1)) / 4.0
 
 
-def random_feasible_lp(rng):
-    """LP with 0 <= x <= 5 made feasible through a dyadic interior point."""
+def random_feasible_lp(rng, mixed_bounds=False):
+    """LP made feasible through a dyadic interior point.
+
+    Bounds are 0 <= x <= 5. With mixed_bounds each column instead draws a
+    box [0, 5], a box [l, l + 3] with integer l in [-2, 2], or a fixed value
+    l = u, and the point respects them.
+    """
     n = int(rng.integers(2, 4))
-    point = np.array([quarter(rng, 0.5, 4.5) for _ in range(n)])
+    lower, upper = [0.0] * n, [5.0] * n
+    if mixed_bounds:
+        for j in range(n):
+            kind = int(rng.integers(0, 3))
+            if kind == 1:
+                lower[j] = float(rng.integers(-2, 3))
+                upper[j] = lower[j] + 3.0
+            elif kind == 2:
+                lower[j] = upper[j] = quarter(rng, -2, 2)
+    point = np.array([quarter(rng, lo + 0.5, hi - 0.5) if lo < hi else lo
+                      for lo, hi in zip(lower, upper)])
     c = [quarter(rng, -3, 3) for _ in range(n)]
     rows, rels, b = [], [], []
     for _ in range(int(rng.integers(1, 7))):
@@ -157,16 +173,27 @@ def random_feasible_lp(rng):
         rows.append(coeffs)
         rels.append(rel)
         b.append(activity + slack if rel == "<=" else activity - slack if rel == ">=" else activity)
-    return c, rows, rels, b, [5.0] * n
+    return c, rows, rels, b, lower, upper
 
 
-def build_lp(c, rows, rels, b, upper):
+def build_lp(c, rows, rels, b, lower, upper):
     lp = LinearProgram()
     for j, cj in enumerate(c):
-        lp.add_variable(obj=cj, upper=upper[j])
+        lp.add_variable(obj=cj, lower=lower[j], upper=upper[j])
     for coeffs, rel, rhs in zip(rows, rels, b):
         lp.add_row({j: a for j, a in enumerate(coeffs) if a != 0.0}, rel, rhs)
     return lp
+
+
+def solve_against_oracle(c, rows, rels, b, lower, upper):
+    """Solve, then require the oracle's value and residuals within RESIDUAL_TOL."""
+    lp = build_lp(c, rows, rels, b, lower, upper)
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    value, _ = lp_vertex_oracle(c, rows, rels, b, upper, lower)
+    assert sol.value == pytest.approx(value, abs=1e-8)
+    assert check_solution(lp, sol).max_residual() <= RESIDUAL_TOL
+    return sol
 
 
 class TestOracleAgreement:
@@ -174,8 +201,8 @@ class TestOracleAgreement:
         rng = np.random.default_rng(17)
         checked = 0
         for _ in range(200):
-            c, rows, rels, b, upper = random_feasible_lp(rng)
-            sol = solve_lp(build_lp(c, rows, rels, b, upper))
+            c, rows, rels, b, lower, upper = random_feasible_lp(rng)
+            sol = solve_lp(build_lp(c, rows, rels, b, lower, upper))
             assert sol.status == OPTIMAL
             expect = lp_vertex_oracle(c, rows, rels, b, upper)
             assert expect is not None
@@ -187,8 +214,8 @@ class TestOracleAgreement:
     def test_vertex_support(self):
         rng = np.random.default_rng(29)
         for _ in range(40):
-            c, rows, rels, b, upper = random_feasible_lp(rng)
-            lp = build_lp(c, rows, rels, b, upper)
+            c, rows, rels, b, lower, upper = random_feasible_lp(rng)
+            lp = build_lp(c, rows, rels, b, lower, upper)
             sol = solve_lp(lp)
             interior = sum(
                 1 for j, xj in enumerate(sol.x)
@@ -212,7 +239,86 @@ class TestOracleAgreement:
     def test_residuals_on_random_lps(self):
         rng = np.random.default_rng(37)
         for _ in range(30):
-            c, rows, rels, b, upper = random_feasible_lp(rng)
-            lp = build_lp(c, rows, rels, b, upper)
+            c, rows, rels, b, lower, upper = random_feasible_lp(rng)
+            lp = build_lp(c, rows, rels, b, lower, upper)
             sol = solve_lp(lp)
             assert check_solution(lp, sol).max_residual() <= 1e-7
+
+
+INF = math.inf
+
+
+class TestBoundedPaths:
+    """Bounds met at the ratio test, fixed and free columns, redundant rows."""
+
+    def test_mixed_bounds_match_oracle(self):
+        rng = np.random.default_rng(41)
+        at_upper = fixed = shifted = 0
+        for _ in range(150):
+            c, rows, rels, b, lower, upper = random_feasible_lp(rng, mixed_bounds=True)
+            sol = solve_against_oracle(c, rows, rels, b, lower, upper)
+            for j in range(len(c)):
+                fixed += lower[j] == upper[j]
+                shifted += lower[j] not in (0.0, upper[j])
+                at_upper += (j not in sol.basis and lower[j] < upper[j]
+                             and sol.x[j] == upper[j] and sol.upper_duals[j] < 0)
+        assert min(at_upper, fixed, shifted) > 0
+
+    def test_bound_flip_leaves_column_at_upper(self):
+        # x enters first (steepest cost) and meets its own bound before the
+        # row binds, so it flips and stays nonbasic at upper = 1.
+        sol = solve_against_oracle([-2.0, -1.0], [[1.0, 1.0]], ["<="], [3.0],
+                                   [0.0, 0.0], [1.0, 5.0])
+        assert 0 not in sol.basis
+        assert sol.x.tolist() == pytest.approx([1.0, 2.0])
+        assert sol.upper_duals[0] == pytest.approx(-1.0)
+        assert sol.y[0] == pytest.approx(-1.0)
+
+    def test_fixed_column_and_shifted_lower(self):
+        # x is fixed at 2 like a trimmed sorting dual pinned to 0; y >= 0.5.
+        sol = solve_against_oracle([-1.0, 1.0], [[1.0, 1.0]], [">="], [3.0],
+                                   [2.0, 0.5], [2.0, INF])
+        assert sol.x.tolist() == pytest.approx([2.0, 1.0])
+        assert sol.upper_duals[0] == pytest.approx(-2.0)
+        # at y's lower bound 0.5 instead: the fixed column must stay put
+        sol = solve_against_oracle([-1.0, 1.0], [[1.0, 1.0]], [">="], [1.0],
+                                   [2.0, 0.5], [2.0, INF])
+        assert sol.x.tolist() == pytest.approx([2.0, 0.5])
+
+    def test_free_column_ends_basic(self):
+        sol = solve_against_oracle([1.0, 0.0], [[1.0, 1.0]], [">="], [1.0],
+                                   [0.0, -INF], [INF, INF])
+        assert 1 in sol.basis
+        assert sol.x.tolist() == pytest.approx([0.0, 1.0])
+
+    def test_free_column_ends_nonbasic_at_zero(self):
+        # w never prices in: its only row keeps a basic slack and a zero dual.
+        sol = solve_against_oracle([-1.0, 0.0], [[1.0, 0.0], [1.0, 1.0]],
+                                   ["<=", "<="], [2.0, 10.0],
+                                   [0.0, -INF], [INF, INF])
+        assert 1 not in sol.basis
+        assert sol.x[1] == 0.0
+        assert sol.x[0] == pytest.approx(2.0)
+
+    def test_dependent_equality_rows(self):
+        rows = [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]
+        rels = ["=", "=", "=", "="]
+        sol = solve_against_oracle([1.0, 0.0, -1.0], rows, rels, [2.0, 4.0, 2.0, 0.5],
+                                   [0.0] * 3, [5.0] * 3)
+        assert sol.value == pytest.approx(-1.0)
+        inconsistent = build_lp([1.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], ["=", "="],
+                                [2.0, 5.0], [0.0] * 2, [5.0] * 2)
+        assert solve_lp(inconsistent).status == INFEASIBLE
+
+    def test_bland_rule_from_the_first_pivot(self, monkeypatch):
+        # The anti-cycling fallback normally engages only after thousands of
+        # degenerate pivots; start it at once and require the same answers.
+        class BlandSimplex(lp_core._BoundedSimplex):
+            def __init__(self, lp):
+                super().__init__(lp)
+                self.bland = True
+
+        monkeypatch.setattr(lp_core, "_BoundedSimplex", BlandSimplex)
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            solve_against_oracle(*random_feasible_lp(rng, mixed_bounds=True))
