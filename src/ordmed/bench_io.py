@@ -13,7 +13,6 @@ import csv
 import io
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -322,7 +321,7 @@ def _run_cell(dist, points, spec, p):
 
 
 def run_experiment(instances, families, p_values, *, seed: int = 0,
-                   bootstrap: int = 1000, jobs: int = 1) -> list[ExperimentRow]:
+                   bootstrap: int = 1000) -> list[ExperimentRow]:
     """Solve every (instance, family, p) cell and tabulate the outcomes.
 
     instances: sequence of (name, DistanceMatrix | Instance-like) pairs; a
@@ -333,8 +332,6 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
     computed across the instance collection and repeated on each of an
     instance's rows; with fewer than two instances they stay empty.
     """
-    if jobs < 1:
-        raise ParameterError(f"jobs must be positive, got {jobs}")
     norm: list[tuple[str, DistanceMatrix, PointSet | None]] = []
     for entry in instances:
         if len(entry) == 2:
@@ -358,13 +355,7 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
                 scored, classify_collection(scored, basis="dip-pvalue")):
             label_pval[idx] = lab.label
 
-    cells = [(idx, name, dist, points, spec, p)
-             for idx, (name, dist, points) in enumerate(norm)
-             for spec in families
-             for p in p_values]
-
-    def solve(cell):
-        idx, name, dist, points, spec, p = cell
+    def solve(idx, name, dist, points, spec, p):
         base = {
             "instance": name, "m": dist.m, "p": p,
             "family": spec.partition(":")[0], "param": None,
@@ -383,12 +374,10 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
             base["error"] = f"{type(exc).__name__}: {exc}".splitlines()[0]
         return ExperimentRow(**base)
 
-    if jobs == 1:
-        rows = [solve(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(solve, cells))
-    return rows
+    return [solve(idx, name, dist, points, spec, p)
+            for idx, (name, dist, points) in enumerate(norm)
+            for spec in families
+            for p in p_values]
 
 
 def _format_cell(value, *, blank: bool = False) -> str:
@@ -406,9 +395,10 @@ def _format_cell(value, *, blank: bool = False) -> str:
 def rows_to_csv(rows, *, include_times: bool = False) -> str:
     """Render rows as a UTF-8 CSV with the fixed field order as header.
 
-    Floats print with 9 significant digits. The two cpu-time columns stay in
-    the header but print empty unless include_times is set, so that default
-    output is byte-identical across reruns with equal seeds and flags.
+    Floats print with 9 significant digits. The two time columns hold
+    wall-clock perf_counter seconds; they stay in the header but print empty
+    unless include_times is set, so that default output is byte-identical
+    across reruns with equal seeds and flags.
     """
     names = [f.name for f in fields(ExperimentRow)]
     out = io.StringIO()

@@ -19,6 +19,7 @@ MEDIAN_SINGLE_RECOVERS = "MedianSingleRecovers"
 UNKNOWN = "Unknown"
 
 EQUALITY_TOL = 1e-9
+COLLINEAR_RTOL = 1e-9  # |u x v| / s**2 below which a triple counts as collinear
 
 
 def strictness_margin(dist) -> float:
@@ -214,11 +215,31 @@ def check_single_center(inst: Instance, j: int) -> bool:
 
 
 def has_collinear_triple(coords) -> bool:
-    """Exact collinearity scan: some triple's edge vectors have rank <= 1."""
+    """Whether some triple is collinear up to a scale-relative tolerance.
+
+    A triple (a, b, t) is collinear when |u x v| <= COLLINEAR_RTOL * s**2,
+    with u = c_b - c_a, v = c_t - c_a and s the largest centred coordinate
+    magnitude. |u x v| is the square root of the Gram determinant
+    |u|^2 |v|^2 - (u.v)^2, summed here from the 2x2 minors u_k v_l - u_l v_k
+    (Lagrange's identity), which keeps the cancellation out: in the plane it
+    is the cross product, and on the real line it is 0.
+    """
     c = np.asarray(coords, dtype=float)
-    for a, b, t in combinations(range(len(c)), 3):
-        g = np.outer(c[b] - c[a], c[t] - c[a])
-        if np.array_equal(g, g.T):
+    m = len(c)
+    if m < 3:
+        return False
+    c = c.reshape(m, -1)
+    s = float(np.max(np.abs(c - c.mean(axis=0))))
+    tol = COLLINEAR_RTOL * s * s
+    dims = list(combinations(range(c.shape[1]), 2))
+    later = np.triu(np.ones((m, m), dtype=bool), 1)
+    for a in range(m - 2):
+        e = c[a + 1:] - c[a]  # edge vectors from anchor a to every later point
+        wedge = np.zeros((m - a - 1, m - a - 1))
+        for k, l in dims:
+            wedge += np.square(np.outer(e[:, k], e[:, l])
+                               - np.outer(e[:, l], e[:, k]))
+        if np.any(np.sqrt(wedge[later[a + 1:, a + 1:]]) <= tol):
             return True
     return False
 

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,36 +30,6 @@ from .formulations import build_bep, build_ot
 from .instance import Instance, PointSet, read_instance, write_instance
 
 _WEIGHT_GRAMMAR = "median | center | ksum:K | centdian:G | file:PATH"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One validated invocation: the subcommand plus every tunable flag."""
-
-    subcommand: str
-    instances: tuple[str, ...] = ()
-    pmed: tuple[str, ...] = ()
-    weights: tuple[str, ...] = ()
-    p: tuple[int, ...] = ()
-    seed: int = 0
-    bootstrap: int = 1000
-    output: str | None = None
-    closest_assignment: bool = False
-    subsample: int | None = None
-    eps: float | None = None
-    strict: bool = False
-    sample_mode: str = "auto"
-    formulation: str = "bep"
-    json_lines: bool = False
-    jobs: int = 1
-    include_times: bool = False
-    profile_dir: str | None = None
-    generator: str | None = None
-    m: int | None = None
-    clusters: int | None = None
-    radius: float = 0.1
-    separation: float = 1.0
-    dim: int = 2
 
 
 def _weight_spec(text: str) -> str:
@@ -188,11 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     sp.add_argument("--bootstrap", type=_positive_int, default=1000,
                     metavar="B", help="uniform resamples for the p-value")
-    sp.add_argument("--jobs", type=_positive_int, default=1,
-                    help="worker threads for the row pool")
     sp.add_argument("--include-times", action="store_true",
-                    help="fill the cpu-time columns (breaks byte-identity "
-                         "of reruns)")
+                    help="fill the wall-clock time columns (breaks "
+                         "byte-identity of reruns)")
     sp.add_argument("--profile-dir", metavar="DIR",
                     help="also write per-family performance profiles here")
     sp.add_argument("-o", "--output", metavar="PATH",
@@ -200,26 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true", dest="json_lines",
                     help="one JSON object per row instead of CSV")
     return parser
-
-
-def _to_config(ns: argparse.Namespace) -> CliConfig:
-    known = {f.name for f in fields(CliConfig)}
-    values = {}
-    for key, val in vars(ns).items():
-        if key not in known or val is None:
-            continue
-        if key in ("instances", "pmed", "weights", "p") or key == "instance":
-            continue
-        values[key] = val
-    raw_inst = getattr(ns, "instance", ())
-    values["instances"] = tuple([raw_inst] if isinstance(raw_inst, str)
-                                else raw_inst or ())
-    values["pmed"] = tuple(getattr(ns, "pmed", ()) or ())
-    raw_w = getattr(ns, "weights", ())
-    values["weights"] = tuple([raw_w] if isinstance(raw_w, str) else raw_w or ())
-    raw_p = getattr(ns, "p", ())
-    values["p"] = tuple([raw_p] if isinstance(raw_p, int) else raw_p or ())
-    return CliConfig(**values)
 
 
 def _fmt(value) -> str:
@@ -246,70 +194,68 @@ def _jsonable(value):
     return str(value)
 
 
-def _emit(text: str, cfg: CliConfig) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _emit(text: str, ns: argparse.Namespace) -> None:
+    if ns.output:
+        with open(ns.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {cfg.output}", file=sys.stderr)
+        print(f"wrote {ns.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 
 
-def _emit_pairs(pairs, cfg: CliConfig) -> None:
-    if cfg.json_lines:
+def _emit_pairs(pairs, ns: argparse.Namespace) -> None:
+    if ns.json_lines:
         obj = {key: _jsonable(val) for key, val in pairs}
-        _emit(json.dumps(obj) + "\n", cfg)
+        _emit(json.dumps(obj) + "\n", ns)
     else:
-        _emit("".join(f"{key} {_fmt(val)}\n" for key, val in pairs), cfg)
+        _emit("".join(f"{key} {_fmt(val)}\n" for key, val in pairs), ns)
 
 
-def _load_instance(cfg: CliConfig, path: str) -> Instance:
-    dist, points, file_p, file_weights = read_instance(path)
-    if cfg.subsample is not None:
-        dist = prefix_subsample(dist, cfg.subsample)
+def _load_instance(ns: argparse.Namespace) -> Instance:
+    dist, points, file_p, file_weights = read_instance(ns.instance)
+    if ns.subsample is not None:
+        dist = prefix_subsample(dist, ns.subsample)
         if points is not None:
-            points = PointSet(points.coords[:cfg.subsample])
-    spec = cfg.weights[0] if cfg.weights else None
-    if spec is not None:
-        weights = resolve_weights(spec, dist.m)
+            points = PointSet(points.coords[:ns.subsample])
+    if ns.weights is not None:
+        weights = resolve_weights(ns.weights, dist.m)
     elif file_weights is not None and file_weights.m == dist.m:
         weights = file_weights
     else:
         weights = resolve_weights("median", dist.m)
-    p = cfg.p[0] if cfg.p else file_p
+    p = file_p if ns.p is None else ns.p
     return Instance(dist, weights, p, points)
 
 
-def _cmd_solve(cfg: CliConfig) -> int:
-    inst = _load_instance(cfg, cfg.instances[0])
+def _cmd_solve(ns: argparse.Namespace) -> int:
+    inst = _load_instance(ns)
     sol = solve_enumeration(inst)
     _emit_pairs([("v_ip", sol.value),
                  ("centers", list(sol.centers)),
-                 ("assignment", list(sol.assignment))], cfg)
+                 ("assignment", list(sol.assignment))], ns)
     return 0
 
 
-def _cmd_relax(cfg: CliConfig) -> int:
-    inst = _load_instance(cfg, cfg.instances[0])
-    if cfg.formulation == "bep":
-        model = build_bep(inst, relaxed=True,
-                          closest_assignment=cfg.closest_assignment)
+def _cmd_relax(ns: argparse.Namespace) -> int:
+    inst = _load_instance(ns)
+    if ns.formulation == "bep":
+        model = build_bep(inst, closest_assignment=ns.closest_assignment)
     else:
-        model = build_ot(inst, closest_assignment=cfg.closest_assignment)
+        model = build_ot(inst, closest_assignment=ns.closest_assignment)
     report = recovery_status(inst, model=model)
     _emit_pairs([("v_ip", report.v_ip), ("v_lp", report.v_lp),
                  ("gap_lp", report.gap_lp), ("recovered", report.recovered),
-                 ("vertex_integral", report.vertex_integral)], cfg)
+                 ("vertex_integral", report.vertex_integral)], ns)
     print(f"relaxation {'matches' if report.recovered else 'is below'} "
-          f"the exact optimum on {cfg.instances[0]}", file=sys.stderr)
+          f"the exact optimum on {ns.instance}", file=sys.stderr)
     return 0
 
 
-def _cmd_certify(cfg: CliConfig) -> int:
-    inst = _load_instance(cfg, cfg.instances[0])
+def _cmd_certify(ns: argparse.Namespace) -> int:
+    inst = _load_instance(ns)
     sol = solve_enumeration(inst)
-    cert, verdict = search_certificate(inst, sol, strict=cfg.strict,
-                                       eps=cfg.eps)
+    cert, verdict = search_certificate(inst, sol, strict=ns.strict,
+                                       eps=ns.eps)
     pairs = [("v_ip", sol.value), ("centers", list(sol.centers)),
              ("found", cert is not None)]
     if cert is not None:
@@ -318,21 +264,21 @@ def _cmd_certify(cfg: CliConfig) -> int:
     else:
         print("no certificate: the search program is infeasible",
               file=sys.stderr)
-    _emit_pairs(pairs, cfg)
+    _emit_pairs(pairs, ns)
     return 0
 
 
-def _cmd_clusterability(cfg: CliConfig) -> int:
-    if not cfg.instances:
+def _cmd_clusterability(ns: argparse.Namespace) -> int:
+    if not ns.instance:
         raise OrdmedError("clusterability needs at least one --instance")
     entries = []
-    for path in cfg.instances:
+    for path in ns.instance:
         dist = read_instance(path)[0]
-        if cfg.subsample is not None:
-            dist = prefix_subsample(dist, cfg.subsample)
-        sample = clusterability_sample(dist, mode=cfg.sample_mode)
+        if ns.subsample is not None:
+            dist = prefix_subsample(dist, ns.subsample)
+        sample = clusterability_sample(dist, mode=ns.sample_mode)
         dip = dip_statistic(sample).dip
-        pval = dip_pvalue(sample, bootstrap=cfg.bootstrap, seed=cfg.seed)
+        pval = dip_pvalue(sample, bootstrap=ns.bootstrap, seed=ns.seed)
         entries.append((path, dip, pval))
     if len(entries) >= 2:
         stat_labels = [lab.label for lab in classify_collection(entries)]
@@ -340,76 +286,74 @@ def _cmd_clusterability(cfg: CliConfig) -> int:
                        for lab in classify_collection(entries, basis="dip-pvalue")]
     else:
         stat_labels = pval_labels = [""] * len(entries)
-    if cfg.json_lines:
+    if ns.json_lines:
         lines = [json.dumps({"instance": path, "dip": dip, "dip_pvalue": pval,
                              "label_dip": sl, "label_pvalue": pl})
                  for (path, dip, pval), sl, pl
                  in zip(entries, stat_labels, pval_labels)]
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", ns)
     else:
         lines = ["instance,dip,dip_pvalue,label_dip,label_pvalue"]
         lines += ["%s,%.9g,%.9g,%s,%s" % (path, dip, pval, sl, pl)
                   for (path, dip, pval), sl, pl
                   in zip(entries, stat_labels, pval_labels)]
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", ns)
     return 0
 
 
-def _cmd_generate(cfg: CliConfig) -> int:
-    if cfg.generator == "ball":
-        points, _ = generate_ball(cfg.m, cfg.clusters, cfg.radius,
-                                  cfg.separation, dim=cfg.dim, seed=cfg.seed)
-        p = cfg.p[0] if cfg.p else cfg.clusters
+def _cmd_generate(ns: argparse.Namespace) -> int:
+    if ns.generator == "ball":
+        points, _ = generate_ball(ns.m, ns.clusters, ns.radius,
+                                  ns.separation, dim=ns.dim, seed=ns.seed)
+        p = ns.clusters if ns.p is None else ns.p
     else:
-        points, _ = generate_uniform(cfg.m, dim=cfg.dim, seed=cfg.seed)
-        p = cfg.p[0] if cfg.p else 1
-    if cfg.output:
-        write_instance(cfg.output, points=points, p=p)
-        print(f"wrote {cfg.output}", file=sys.stderr)
+        points, _ = generate_uniform(ns.m, dim=ns.dim, seed=ns.seed)
+        p = 1 if ns.p is None else ns.p
+    if ns.output:
+        write_instance(ns.output, points=points, p=p)
+        print(f"wrote {ns.output}", file=sys.stderr)
     else:
         write_instance(sys.stdout, points=points, p=p)
     return 0
 
 
-def _cmd_experiment(cfg: CliConfig) -> int:
-    if not cfg.instances and not cfg.pmed:
+def _cmd_experiment(ns: argparse.Namespace) -> int:
+    if not ns.instance and not ns.pmed:
         raise OrdmedError("experiment needs --instance or --pmed inputs")
     loaded = []
-    for path in cfg.instances:
+    for path in ns.instance:
         dist, points, _, _ = read_instance(path)
-        if cfg.subsample is not None:
-            dist = prefix_subsample(dist, cfg.subsample)
+        if ns.subsample is not None:
+            dist = prefix_subsample(dist, ns.subsample)
             points = None if points is None else PointSet(
-                points.coords[:cfg.subsample])
+                points.coords[:ns.subsample])
         loaded.append((os.path.basename(path), dist, points))
-    for path in cfg.pmed:
+    for path in ns.pmed:
         dist = floyd_warshall(parse_pmed(path))
         name = os.path.basename(path)
-        if cfg.subsample is not None:
-            dist = prefix_subsample(dist, cfg.subsample)
-            name = f"{name}@{cfg.subsample}"
+        if ns.subsample is not None:
+            dist = prefix_subsample(dist, ns.subsample)
+            name = f"{name}@{ns.subsample}"
         loaded.append((name, dist, None))
-    families = list(cfg.weights) or ["median"]
-    p_values = list(cfg.p) or [2]
-    rows = run_experiment(loaded, families, p_values, seed=cfg.seed,
-                          bootstrap=cfg.bootstrap, jobs=cfg.jobs)
-    if cfg.json_lines:
+    rows = run_experiment(loaded, ns.weights or ["median"], ns.p or [2],
+                          seed=ns.seed, bootstrap=ns.bootstrap)
+    if ns.json_lines:
         out_lines = []
         for row in rows:
             record = {key: _jsonable(val) for key, val in asdict(row).items()}
-            if not cfg.include_times:
+            if not ns.include_times:
                 record["time_enumeration"] = None
                 record["time_lp"] = None
             out_lines.append(json.dumps(record))
-        _emit("\n".join(out_lines) + "\n", cfg)
+        _emit("\n".join(out_lines) + "\n", ns)
     else:
-        _emit(rows_to_csv(rows, include_times=cfg.include_times), cfg)
+        _emit(rows_to_csv(rows, include_times=ns.include_times), ns)
     failures = sum(1 for row in rows if row.error)
     print(f"{len(rows)} rows, {failures} failed", file=sys.stderr)
-    if cfg.profile_dir:
-        os.makedirs(cfg.profile_dir, exist_ok=True)
+    if ns.profile_dir:
+        os.makedirs(ns.profile_dir, exist_ok=True)
         for key, table in profile_series(rows).items():
-            name = os.path.join(cfg.profile_dir,
+            name = os.path.join(ns.profile_dir,
                                 "profile_%s.csv" % key.replace(":", "_"))
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write(table)
@@ -435,9 +379,8 @@ def main(argv=None) -> int:
         if isinstance(exc.code, int):
             return exc.code
         return 0 if exc.code is None else 2
-    cfg = _to_config(ns)
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[ns.subcommand](ns)
     except OrdmedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

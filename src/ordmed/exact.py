@@ -70,7 +70,7 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     best = solve_enumeration(inst)
     time_enumeration = time.perf_counter() - t0
     if model is None:
-        model = build_bep(inst, relaxed=True)
+        model = build_bep(inst)
     t0 = time.perf_counter()
     sol = solve_lp(model.lp)
     time_lp = time.perf_counter() - t0

@@ -25,7 +25,6 @@ class DompModel:
 
     lp: LinearProgram
     tag: str
-    relaxed: bool
     m: int
     p: int
     y: tuple[int, ...]
@@ -85,8 +84,7 @@ def _attach_closest_assignment(lp: LinearProgram, rows: list[ClosestAssignmentRo
         lp.add_row(coeffs, "<=", row.rhs, f"near_{row.i + 1}_{row.j + 1}")
 
 
-def build_bep(inst: Instance, relaxed: bool = True, *,
-              closest_assignment: bool = False,
+def build_bep(inst: Instance, *, closest_assignment: bool = False,
               drop_zero_rows: bool = False) -> DompModel:
     """Build the sorting-by-duals model: min sum(u) + sum(v) over the polytope.
 
@@ -128,7 +126,7 @@ def build_bep(inst: Instance, relaxed: bool = True, *,
             lp.add_row(coeffs, ">=", 0.0, f"sort_{i + 1}_{r + 1}")
     if closest_assignment:
         _attach_closest_assignment(lp, closest_assignment_rows(inst), y, z)
-    return DompModel(lp=lp, tag=BEP, relaxed=relaxed, m=m, p=inst.p,
+    return DompModel(lp=lp, tag=BEP, m=m, p=inst.p,
                      y=y, z=z, u=u, v=v)
 
 
@@ -166,7 +164,7 @@ def build_ot(inst: Instance, *, closest_assignment: bool = False) -> DompModel:
             lp.add_row(coeffs, ">=", 0.0, f"tail_{i + 1}_{s + 1}")
     if closest_assignment:
         _attach_closest_assignment(lp, closest_assignment_rows(inst), y, z)
-    return DompModel(lp=lp, tag=OT, relaxed=True, m=m, p=inst.p,
+    return DompModel(lp=lp, tag=OT, m=m, p=inst.p,
                      y=y, z=z, t=t, q=q)
 
 

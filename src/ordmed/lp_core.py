@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -94,14 +95,15 @@ class LinearProgram:
 
     def dense(self) -> tuple[np.ndarray, list[str], np.ndarray]:
         """Rows as (A, relations, b) with A dense of shape (n_rows, n_vars)."""
+        maps = [cmap for cmap, _, _ in self.rows]
+        i = np.repeat(np.arange(len(maps)), [len(cmap) for cmap in maps])
+        j = np.fromiter(chain.from_iterable(maps), dtype=np.intp, count=len(i))
         a = np.zeros((self.n_rows, self.n_vars))
-        rels = []
-        b = np.zeros(self.n_rows)
-        for i, (cmap, rel, rhs) in enumerate(self.rows):
-            for j, coef in cmap.items():
-                a[i, j] += coef
-            rels.append(rel)
-            b[i] = rhs
+        # += (not =) stores a -0.0 coefficient as +0.0; (i, j) pairs are unique
+        a[i, j] += np.fromiter(chain.from_iterable(cmap.values() for cmap in maps),
+                               dtype=float, count=len(i))
+        rels = [rel for _, rel, _ in self.rows]
+        b = np.array([rhs for _, _, rhs in self.rows], dtype=float)
         return a, rels, b
 
 
@@ -363,6 +365,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     )
 
 
+def _worst(violations: np.ndarray) -> float:
+    """Largest entry, floored at 0 (a satisfied block reports no residual)."""
+    return float(np.max(violations, initial=0.0))
+
+
 def check_solution(lp: LinearProgram, sol: LpSolution) -> ResidualReport:
     """Report worst primal, dual, complementary-slackness, and gap residuals.
 
@@ -378,46 +385,32 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> ResidualReport:
     lower = np.array(lp.lower)
     upper = np.array(lp.upper)
 
-    ax = a @ x if lp.n_rows else np.zeros(0)
-    primal = 0.0
-    comp = 0.0
-    dual = 0.0
-    for i, rel in enumerate(rels):
-        slack = b[i] - ax[i]
-        if rel == "<=":
-            primal = max(primal, -slack)
-            dual = max(dual, y[i])  # must be <= 0
-        elif rel == ">=":
-            primal = max(primal, slack)
-            dual = max(dual, -y[i])  # must be >= 0
-        else:
-            primal = max(primal, abs(slack))
-        comp = max(comp, abs(y[i] * slack))
-
+    rel = np.array(rels)
+    le, ge = rel == "<=", rel == ">="
     finite_lo = np.isfinite(lower)
     finite_up = np.isfinite(upper)
-    if np.any(finite_lo):
-        primal = max(primal, float(np.max(lower[finite_lo] - x[finite_lo])))
-    if np.any(finite_up):
-        primal = max(primal, float(np.max(x[finite_up] - upper[finite_up])))
+
+    slack = b - a @ x
+    primal = max(
+        _worst(np.where(le, -slack, np.where(ge, slack, np.abs(slack)))),
+        _worst(lower[finite_lo] - x[finite_lo]),
+        _worst(x[finite_up] - upper[finite_up]))
 
     # reduced costs implied by (y, mu): rc = c - A^T y - mu
-    rc = np.array(lp.obj) - (a.T @ y if lp.n_rows else 0.0) - mu
-    for j in range(lp.n_vars):
-        if finite_up[j]:
-            dual = max(dual, mu[j])  # must be <= 0
-        elif mu[j] != 0.0:
-            dual = max(dual, abs(mu[j]))
-        if finite_lo[j]:
-            dual = max(dual, -rc[j])  # must be >= 0
-            comp = max(comp, abs(rc[j] * (x[j] - lower[j])))
-        else:
-            dual = max(dual, abs(rc[j]))
-        if finite_up[j]:
-            comp = max(comp, abs(mu[j] * (upper[j] - x[j])))
+    rc = np.array(lp.obj) - a.T @ y - mu
+    dual = max(
+        _worst(y[le]),   # must be <= 0
+        _worst(-y[ge]),  # must be >= 0
+        _worst(mu[finite_up]),  # must be <= 0
+        _worst(np.abs(mu[~finite_up])),
+        _worst(-rc[finite_lo]),  # must be >= 0
+        _worst(np.abs(rc[~finite_lo])))
+    comp = max(
+        _worst(np.abs(y * slack)),
+        _worst(np.abs(rc[finite_lo] * (x[finite_lo] - lower[finite_lo]))),
+        _worst(np.abs(mu[finite_up] * (upper[finite_up] - x[finite_up]))))
 
-    bound_terms = float(np.sum(mu[finite_up] * upper[finite_up]))
-    if np.any(finite_lo):
-        bound_terms += float(np.sum(rc[finite_lo] * lower[finite_lo]))
+    bound_terms = float(np.sum(mu[finite_up] * upper[finite_up])) \
+        + float(np.sum(rc[finite_lo] * lower[finite_lo]))
     gap = abs(float(np.dot(lp.obj, x)) - (float(np.dot(y, b)) + bound_terms))
-    return ResidualReport(float(primal), float(dual), float(comp), float(gap))
+    return ResidualReport(primal, dual, comp, gap)

@@ -296,11 +296,6 @@ class TestCsvRendering:
         assert float(cols_t[idx_enum]) >= 0.0
         assert float(cols_t[idx_lp]) > 0.0
 
-    def test_jobs_do_not_change_rows(self, rows):
-        threaded = run_experiment(ball_instances(2), ["median"], [2],
-                                  bootstrap=100, jobs=2)
-        assert rows_to_csv(rows) == rows_to_csv(threaded)
-
 
 class TestProfileSeries:
     def test_tables(self):

@@ -27,7 +27,7 @@ from ordmed import (
     strictness_margin,
     verify_certificate,
 )
-from ordmed.bench_io import generate_ball
+from ordmed.bench_io import generate_ball, resolve_weights
 
 from helpers import matrix_instance, planar_instance, random_instance, t1_instance
 
@@ -225,6 +225,42 @@ class TestCollinearity:
 
     def test_too_few_points(self):
         assert not has_collinear_triple([[0.0, 0.0], [1.0, 1.0]])
+
+    def test_float_lines_are_collinear(self):
+        rng = np.random.default_rng(3)
+        assert all(has_collinear_triple(line_points(rng)) for _ in range(60))
+
+    def test_uniform_points_are_in_general_position(self):
+        rng = np.random.default_rng(7)
+        assert not any(has_collinear_triple(rng.uniform(size=(12, 2)))
+                       for _ in range(200))
+
+    def test_near_collinear_in_3d(self):
+        direction = np.array([0.3, -1.7, 2.9])
+        pts = [0.1 * direction, 1.3 * direction, 2.7 * direction,
+               [1.0, 0.0, 0.0]]
+        assert has_collinear_triple(np.array(pts) + 0.37)
+
+    def test_line_cells_never_contradict_recovery(self):
+        # regression: an exact-equality scan missed float collinear triples,
+        # so the 2-sum item said NeverRecovers where the relaxation recovered
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            coords = line_points(rng)
+            for p in (1, 2):
+                inst = planar_instance(coords, resolve_weights("ksum:2", len(coords)), p)
+                pred = predict_non_recovery(inst)
+                assert not (pred.kind == NEVER_RECOVERS
+                            and recovery_status(inst).recovered)
+
+
+def line_points(rng):
+    """Points on a random float line: m in 5..8, the certify line recipe."""
+    m = int(rng.integers(5, 9))
+    base = rng.uniform(size=2)
+    angle = rng.uniform(0.0, np.pi)
+    t = rng.uniform(-1.0, 1.0, size=m)
+    return base + t[:, None] * np.array([np.cos(angle), np.sin(angle)])
 
 
 GENERAL_POSITION = [[0.0, 0.0], [1.0, 0.0], [0.3, 1.7], [2.1, 3.3]]

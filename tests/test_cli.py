@@ -333,7 +333,7 @@ HELP_FLAGS = {
     "generate": ["--m", "--clusters", "--radius", "--sep", "--dim", "--seed",
                  "--p", "--output"],
     "experiment": ["--instance", "--pmed", "--weights", "--p", "--subsample",
-                   "--seed", "--bootstrap", "--jobs", "--include-times",
+                   "--seed", "--bootstrap", "--include-times",
                    "--profile-dir", "--output", "--json"],
 }
 

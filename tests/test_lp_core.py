@@ -13,6 +13,8 @@ from ordmed.lp_core import (
     RESIDUAL_TOL,
     UNBOUNDED,
     LinearProgram,
+    LpSolution,
+    ResidualReport,
     check_solution,
     solve_lp,
 )
@@ -119,6 +121,43 @@ class TestResidualReport:
         rep = check_solution(lp, bad)
         assert rep.duality_gap == pytest.approx(3.0, abs=1e-6)
 
+    # One damaged block per case; every vector is dyadic, so each residual
+    # (primal, dual, complementary slackness, gap) is exact.
+    @staticmethod
+    def report(lower, rows, x, y, mu):
+        lp = LinearProgram()
+        lp.add_variable("x", obj=1.0, lower=lower)
+        for coef, rel, rhs in rows:
+            lp.add_row({0: coef}, rel, rhs)
+        sol = LpSolution(OPTIMAL, x=np.array([x]), y=np.array(y),
+                         upper_duals=np.array([mu]))
+        return check_solution(lp, sol)
+
+    def test_wrong_signed_dual_on_le_row(self):
+        rep = self.report(0.0, [(-1.0, "<=", -2.0)], 2.0, [0.5], 0.0)
+        assert rep == ResidualReport(0.0, 0.5, 3.0, 3.0)
+
+    def test_wrong_signed_dual_on_ge_row(self):
+        rep = self.report(0.0, [(1.0, ">=", 2.0)], 2.0, [-0.5], 0.0)
+        assert rep == ResidualReport(0.0, 0.5, 3.0, 3.0)
+
+    def test_upper_dual_without_finite_upper(self):
+        rep = self.report(0.0, [(1.0, ">=", 2.0)], 2.0, [1.0], -0.25)
+        assert rep == ResidualReport(0.0, 0.25, 0.5, 0.0)
+
+    def test_negative_reduced_cost_at_nonzero_lower(self):
+        rep = self.report(1.0, [(1.0, ">=", 0.5)], 1.0, [1.5], 0.0)
+        assert rep == ResidualReport(0.0, 0.5, 0.75, 0.75)
+
+    def test_reduced_cost_on_free_column(self):
+        rep = self.report(-INF, [(1.0, ">=", 2.0)], 2.0, [0.75], 0.0)
+        assert rep == ResidualReport(0.0, 0.25, 0.0, 0.5)
+
+    def test_complementary_slackness_on_slack_row(self):
+        rep = self.report(-INF, [(1.0, ">=", 2.0), (1.0, "<=", 5.0)], 2.0,
+                          [1.25, -0.25], 0.0)
+        assert rep == ResidualReport(0.0, 0.0, 0.75, 0.75)
+
 
 class TestDeterminism:
     def test_same_model_same_pivots(self):
@@ -137,6 +176,29 @@ class TestDeterminism:
         assert a.basis == b.basis
         assert a.iterations == b.iterations
 
+
+
+class TestDense:
+    def test_matches_entrywise_loop(self):
+        rng = np.random.default_rng(43)
+        lp = LinearProgram()
+        for _ in range(6):
+            lp.add_variable()
+        for _ in range(9):
+            cols = rng.choice(6, size=int(rng.integers(0, 7)), replace=False)
+            coeffs = {int(j): float(rng.choice([-0.0, 0.0, -1.5, 2.25]))
+                      for j in cols}
+            lp.add_row(coeffs, ("<=", "=", ">=")[int(rng.integers(0, 3))],
+                       float(rng.uniform(-1, 1)))
+        ref = np.zeros((lp.n_rows, lp.n_vars))
+        for i, (cmap, _, _) in enumerate(lp.rows):
+            for j, coef in cmap.items():
+                ref[i, j] += coef
+        a, rels, b = lp.dense()
+        assert np.array_equal(a, ref)
+        assert np.array_equal(np.signbit(a), np.signbit(ref))  # -0.0 lands as 0.0
+        assert rels == [rel for _, rel, _ in lp.rows]
+        assert b.tolist() == [rhs for _, _, rhs in lp.rows]
 
 def quarter(rng, lo, hi):
     # Dyadic grid values are exact in binary floats and in Fraction(float).
