@@ -76,11 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--instance", required=True, metavar="PATH",
                             help="instance file: matrix format `m p` or "
                                  "coordinate format `m n p`")
-        sp.add_argument("--weights", type=_weight_spec, metavar="SPEC",
-                        action="append" if multi_instance else "store",
-                        default=[] if multi_instance else None,
-                        help=f"weight family spec: {_WEIGHT_GRAMMAR} "
-                             "(default: weights stored in the file, else median)")
+            sp.add_argument("--weights", type=_weight_spec, metavar="SPEC",
+                            help=f"weight family spec: {_WEIGHT_GRAMMAR} "
+                                 "(default: weights stored in the file, else "
+                                 "median)")
         sp.add_argument("--subsample", type=_positive_int, metavar="M",
                         help="keep only the first M points (deterministic prefix)")
         sp.add_argument("-o", "--output", metavar="PATH",

@@ -141,8 +141,9 @@ class ResidualReport:
     duality_gap: float
 
     def max_residual(self) -> float:
-        return max(self.primal_infeasibility, self.dual_infeasibility,
-                   self.complementary_slackness, self.duality_gap)
+        """Largest block residual; NaN when any block is NaN."""
+        return float(np.max([self.primal_infeasibility, self.dual_infeasibility,
+                             self.complementary_slackness, self.duality_gap]))
 
 
 class _BoundedSimplex:

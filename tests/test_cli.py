@@ -320,6 +320,13 @@ class TestExitCodes:
         assert run(capsys, "relax", "--instance", t1_path,
                    "--weights", "ksum:x")[0] == 2
 
+    def test_clusterability_takes_no_weights(self, capsys, t1_path):
+        # the dip diagnostics never read weights, so the flag is not offered
+        code, _, err = run(capsys, "clusterability", "--instance", t1_path,
+                           "--bootstrap", "10", "--weights", "center")
+        assert code == 2
+        assert "--weights" in err
+
 
 HELP_FLAGS = {
     "solve": ["--instance", "--weights", "--subsample", "--output", "--json",
@@ -328,8 +335,8 @@ HELP_FLAGS = {
               "--p", "--formulation", "--closest-assignment"],
     "certify": ["--instance", "--weights", "--subsample", "--output",
                 "--json", "--p", "--strict", "--eps"],
-    "clusterability": ["--instance", "--weights", "--subsample", "--output",
-                       "--json", "--bootstrap", "--seed", "--sample-mode"],
+    "clusterability": ["--instance", "--subsample", "--output", "--json",
+                       "--bootstrap", "--seed", "--sample-mode"],
     "generate": ["--m", "--clusters", "--radius", "--sep", "--dim", "--seed",
                  "--p", "--output"],
     "experiment": ["--instance", "--pmed", "--weights", "--p", "--subsample",

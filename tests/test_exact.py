@@ -1,6 +1,8 @@
 """Enumeration solver and LP recovery reports against brute-force oracles."""
 
 import dataclasses
+import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,14 +10,25 @@ import pytest
 import ordmed.exact
 from ordmed import (
     ConvergenceError,
+    Instance,
+    PointSet,
     SizeGuardError,
     build_ot,
+    closest_allocation,
+    data_path,
+    floyd_warshall,
+    generate_ball,
+    generate_uniform,
     make_weights,
+    parse_pmed,
+    prefix_subsample,
     recovery_status,
+    resolve_weights,
     solve_enumeration,
 )
 
-from helpers import planar_instance, random_instance, random_points, t1_instance
+from helpers import (matrix_instance, planar_instance, random_instance,
+                     random_points, random_weights, t1_instance)
 from oracles import assignment_beats_closest, domp_oracle
 
 
@@ -75,6 +88,109 @@ class TestEnumeration:
             assert not assignment_beats_closest(inst.dist.d, inst.weights.lam, inst.p)
 
 
+def per_subset_enumeration(inst):
+    """The scan solve_enumeration replaces: one closest allocation per subset."""
+    best = None
+    for centers in combinations(range(inst.m), inst.p):
+        sol = closest_allocation(inst.dist, centers, inst.weights)
+        if best is None or sol.value < best.value:
+            best = sol
+    return best
+
+
+def enumeration_corpus():
+    """Tie-heavy inputs (integer grids, the pmed1 prefix, center and k-sum
+    weights) next to random ball and uniform instances."""
+    rng = np.random.default_rng(29)
+    pmed = floyd_warshall(parse_pmed(data_path("pmed1.txt")))
+    families = ("center", "ksum:2", "median", "centdian:0.5", "ksum:auto")
+    out = []
+    for t in range(40):
+        m = int(rng.integers(5, 13))
+        p = int(rng.integers(1, 4))
+        seed = int(rng.integers(1_000_000))
+        kind = t % 4
+        if kind == 0:
+            dist = PointSet(rng.integers(0, 4, size=(m, 2)).astype(float)).distance_matrix()
+        elif kind == 1:
+            dist = prefix_subsample(pmed, m)
+        elif kind == 2:
+            dist = generate_ball(m, 2, 0.1, 1.0, seed=seed)[1]
+        else:
+            dist = generate_uniform(m, seed=seed)[1]
+        out.append(Instance(dist, resolve_weights(families[t % 5], m), p))
+    return out
+
+
+# Integer-grid instances where a blocked dot product ranked two subsets
+# differently from om_evaluate (OpenBLAS, x86-64): there, picking by the
+# blocked score alone, or re-scoring only exact score minima, returns the
+# wrong center set.
+ROUNDING_SENSITIVE = [
+    ([[3, 3], [0, 0], [0, 2], [3, 3], [2, 3], [3, 0], [0, 3], [0, 3]], 2, "centdian:0.7"),
+    ([[3, 0], [1, 0], [3, 3], [0, 3], [2, 2], [1, 0], [3, 2], [2, 0]], 2, "centdian:0.3"),
+    ([[2, 1], [3, 1], [1, 3], [2, 1], [0, 0], [0, 0], [0, 3], [1, 2]], 1, "median"),
+    ([[3, 0], [3, 2], [3, 3], [1, 2], [2, 0], [0, 0], [2, 2], [3, 2], [2, 3]], 2,
+     "centdian:0.3"),
+]
+
+
+def same_solution(a, b):
+    return (a.centers == b.centers and a.assignment == b.assignment
+            and a.value == b.value and np.array_equal(a.distances, b.distances))
+
+
+class TestBlockedEnumeration:
+    # 7 is prime and far below C(m, p), so value ties straddle block edges
+    @pytest.mark.parametrize("block", [7, ordmed.exact.ENUMERATION_BLOCK])
+    def test_identical_to_per_subset_scan(self, monkeypatch, block):
+        monkeypatch.setattr(ordmed.exact, "ENUMERATION_BLOCK", block)
+        for inst in enumeration_corpus():
+            assert same_solution(solve_enumeration(inst),
+                                 per_subset_enumeration(inst))
+
+    @pytest.mark.parametrize("coords, p, spec", ROUNDING_SENSITIVE)
+    def test_rounding_sensitive_grids(self, coords, p, spec):
+        dist = PointSet(np.array(coords, dtype=float)).distance_matrix()
+        inst = Instance(dist, resolve_weights(spec, len(coords)), p)
+        assert same_solution(solve_enumeration(inst), per_subset_enumeration(inst))
+
+    def test_asymmetric_costs(self):
+        # d[i, j] is the cost of serving point i from center j
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            m = int(rng.integers(4, 9))
+            d = rng.uniform(1.0, 5.0, size=(m, m))
+            np.fill_diagonal(d, 0.0)
+            inst = matrix_instance(d, random_weights(rng, m), int(rng.integers(1, 4)))
+            assert same_solution(solve_enumeration(inst), per_subset_enumeration(inst))
+
+    def test_gap_below_the_near_tie_tolerance(self):
+        # center 1 beats center 0 by 2e-12, far inside NEAR_TIE_RTOL, so both
+        # are re-scored and the exact comparison decides
+        d = [[0.0, 0.5, 2.5], [0.5 + 2e-12, 0.0, 2.5], [0.5, 0.5, 0.0]]
+        inst = matrix_instance(d, make_weights("median", 3), 1)
+        assert solve_enumeration(inst).centers == (1,)
+
+    def test_tie_in_a_later_block_keeps_the_first_set(self, monkeypatch):
+        # every pair of corners of the unit square ties at value 2 under
+        # median weights; with one subset per block each tie has its own block
+        monkeypatch.setattr(ordmed.exact, "ENUMERATION_BLOCK", 1)
+        square = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        inst = planar_instance(square, make_weights("median", 4), 2)
+        assert solve_enumeration(inst).centers == (0, 1)
+
+    @pytest.mark.parametrize("m, p, block", [(8, 2, 7), (7, 3, 35), (6, 3, 5)])
+    def test_subset_count_a_multiple_of_the_block(self, monkeypatch, m, p, block):
+        assert math.comb(m, p) % block == 0
+        monkeypatch.setattr(ordmed.exact, "ENUMERATION_BLOCK", block)
+        grid = PointSet(np.array([[i % 3, i // 3] for i in range(m)], dtype=float))
+        for kind in ("center", "median"):
+            inst = Instance(grid.distance_matrix(), make_weights(kind, m), p)
+            assert same_solution(solve_enumeration(inst),
+                                 per_subset_enumeration(inst))
+
+
 class TestRecoveryStatus:
     def test_t1_median_recovers(self):
         rep = recovery_status(t1_instance("median", p=1))
@@ -127,5 +243,21 @@ class TestRecoveryStatus:
             return dataclasses.replace(sol, y=sol.y + 1e-6)
 
         monkeypatch.setattr(ordmed.exact, "solve_lp", perturbed)
+        with pytest.raises(ConvergenceError, match="residual"):
+            recovery_status(t1_instance("median", p=1))
+
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_nan_solution_raises_instead_of_a_verdict(self, monkeypatch, field):
+        # A NaN compares False against any tolerance, so the gate has to
+        # reject it explicitly rather than let it pass as "not too large".
+        solve = ordmed.exact.solve_lp
+
+        def damaged(lp):
+            sol = solve(lp)
+            vec = getattr(sol, field).copy()
+            vec[0] = np.nan
+            return dataclasses.replace(sol, **{field: vec})
+
+        monkeypatch.setattr(ordmed.exact, "solve_lp", damaged)
         with pytest.raises(ConvergenceError, match="residual"):
             recovery_status(t1_instance("median", p=1))

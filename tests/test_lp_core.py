@@ -158,6 +158,12 @@ class TestResidualReport:
                           [1.25, -0.25], 0.0)
         assert rep == ResidualReport(0.0, 0.0, 0.75, 0.75)
 
+    @pytest.mark.parametrize("block", range(4))
+    def test_nan_block_makes_max_residual_nan(self, block):
+        values = [0.0, 2.0, 1.0, 0.5]
+        values[block] = math.nan
+        assert math.isnan(ResidualReport(*values).max_residual())
+
 
 class TestDeterminism:
     def test_same_model_same_pivots(self):
