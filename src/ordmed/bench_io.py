@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -116,29 +115,18 @@ def floyd_warshall(g: EdgeGraph) -> DistanceMatrix:
     inequality by construction, so it passes validate_metric.
     """
     n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
     for i, j, cost in g.edges:
         if cost < d[i, j]:
             d[i, j] = d[j, i] = float(cost)
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        at = queue.popleft()
-        for nxt in adj[at]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != n:
-        missing = min(set(range(n)) - seen)
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    if np.isinf(d[0]).any():
+        missing = int(np.argmax(np.isinf(d[0])))
         raise ParameterError(
             f"graph is disconnected: vertex {missing + 1} is unreachable "
             "from vertex 1; all-pairs distances are undefined")
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return DistanceMatrix(d)
 
 
@@ -215,12 +203,13 @@ def data_path(name: str):
     return resources.files("ordmed").joinpath("data", name)
 
 
-def resolve_weights(spec: str, m: int) -> WeightVector:
-    """Build the weight vector a spec string names, at length m.
+def parse_weight_spec(spec: str) -> tuple[str, int | float | str | None]:
+    """Split a weight spec into its family and parameter, checking what needs no m.
 
-    Grammar: `median` | `center` | `ksum:K` | `centdian:G` | `file:PATH`.
-    `ksum:auto` picks k = ceil(m / 4), scaling the head length with the
-    effective instance size.
+    Grammar: `median` | `center` | `ksum:K` | `centdian:G` | `file:PATH`,
+    blanks around either part ignored. The parameter is None for median and
+    center, an int or "auto" for ksum, a float for centdian and the path for
+    file; checks against m and reading the file wait for resolve_weights.
     """
     name, _, arg = spec.partition(":")
     name = name.strip()
@@ -228,34 +217,46 @@ def resolve_weights(spec: str, m: int) -> WeightVector:
     if name == "median" or name == "center":
         if arg:
             raise ParameterError(f"{name} takes no parameter, got {spec!r}")
-        return make_weights(name, m)
+        return name, None
     if name == "ksum":
-        if arg == "auto":
-            k = max(1, math.ceil(m / 4))
-        else:
-            try:
-                k = int(arg)
-            except ValueError:
-                raise ParameterError(
-                    f"ksum parameter must be an integer or 'auto', got {spec!r}"
-                ) from None
-        return make_weights("ksum", m, k=k)
+        try:
+            return name, arg if arg == "auto" else int(arg)
+        except ValueError:
+            raise ParameterError(
+                f"ksum parameter must be an integer or 'auto', got {spec!r}"
+            ) from None
     if name == "centdian":
         try:
-            gamma = float(arg)
+            return name, float(arg)
         except ValueError:
             raise ParameterError(
                 f"centdian parameter must be a number, got {spec!r}") from None
-        return make_weights("centdian", m, gamma=gamma)
     if name == "file":
         if not arg:
             raise ParameterError("file spec needs a path, e.g. file:weights.txt")
-        with open(arg, "r", encoding="utf-8") as fh:
-            values = [float(tok) for tok in fh.read().split()]
-        return make_weights("explicit", m, values=values)
+        return name, arg
     raise ParameterError(
         f"unknown weight spec {spec!r}; use median | center | ksum:K | "
         "centdian:G | file:PATH")
+
+
+def resolve_weights(spec: str, m: int) -> WeightVector:
+    """Build the weight vector a spec string names, at length m.
+
+    See parse_weight_spec for the grammar. `ksum:auto` picks
+    k = ceil(m / 4), scaling the head length with the effective instance size.
+    """
+    name, arg = parse_weight_spec(spec)
+    if name == "ksum":
+        k = max(1, math.ceil(m / 4)) if arg == "auto" else arg
+        return make_weights(name, m, k=k)
+    if name == "centdian":
+        return make_weights(name, m, gamma=arg)
+    if name == "file":
+        with open(arg, "r", encoding="utf-8") as fh:
+            values = [float(tok) for tok in fh.read().split()]
+        return make_weights("explicit", m, values=values)
+    return make_weights(name, m)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .bench_io import floyd_warshall, generate_ball, generate_uniform, \
-    parse_pmed, prefix_subsample, profile_series, resolve_weights, \
-    rows_to_csv, run_experiment
+    parse_pmed, parse_weight_spec, prefix_subsample, profile_series, \
+    resolve_weights, rows_to_csv, run_experiment
 from .certificates import search_certificate
 from .clusterability import classify_collection, clusterability_sample, \
     dip_pvalue, dip_statistic
-from .errors import OrdmedError
+from .errors import OrdmedError, ParameterError
 from .exact import recovery_status, solve_enumeration
 from .formulations import build_bep, build_ot
 from .instance import Instance, PointSet, read_instance, write_instance
@@ -33,22 +33,11 @@ _WEIGHT_GRAMMAR = "median | center | ksum:K | centdian:G | file:PATH"
 
 
 def _weight_spec(text: str) -> str:
-    """Grammar check only; range checks against m happen at build time."""
-    name, _, arg = text.partition(":")
-    ok = (name in ("median", "center") and not arg)
-    if name == "ksum":
-        ok = arg == "auto" or arg.lstrip("+-").isdigit()
-    if name == "centdian":
-        try:
-            float(arg)
-            ok = True
-        except ValueError:
-            ok = False
-    if name == "file":
-        ok = bool(arg)
-    if not ok:
-        raise argparse.ArgumentTypeError(
-            f"bad weight spec {text!r}; grammar: {_WEIGHT_GRAMMAR}")
+    """The library's m-free spec check; range checks against m happen at build time."""
+    try:
+        parse_weight_spec(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 

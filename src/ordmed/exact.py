@@ -82,8 +82,9 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
 
     A prebuilt relaxed model for the same instance may be passed to avoid
     rebuilding; values are still recomputed from scratch. Raises
-    ConvergenceError when the relaxation is not solved to optimality or its
-    check_solution residual exceeds RESIDUAL_TOL.
+    ConvergenceError when the relaxation is not solved to optimality, its
+    check_solution residual exceeds RESIDUAL_TOL, or its stored value is
+    off obj . x by more than RESIDUAL_TOL * (1 + |obj . x|).
     """
     t0 = time.perf_counter()
     best = solve_enumeration(inst)
@@ -103,6 +104,12 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
         raise ConvergenceError(
             f"relaxation residual {residual:.3e} exceeds {RESIDUAL_TOL:g}",
             sol.iterations)
+    # the residual never reads the stored value, so tie it to the vertex here
+    value_at_x = float(np.dot(model.lp.obj, sol.x))
+    if not abs(sol.value - value_at_x) <= RESIDUAL_TOL * (1.0 + abs(value_at_x)):
+        raise ConvergenceError(
+            f"relaxation value {sol.value!r} is not the vertex objective "
+            f"{value_at_x!r}", sol.iterations)
     v_ip = float(best.value)
     v_lp = float(sol.value)
     tol = RECOVERY_RTOL * (1.0 + abs(v_ip))

@@ -20,7 +20,9 @@ class DompModel:
     """A built model plus maps from named variables to LP column indices.
 
     Exactly one of the (u, v) and (t, q) pairs is populated, matching the
-    formulation tag. All maps together cover every LP column once.
+    formulation tag; v, t and each q[i] hold one column per weight step (see
+    _steps), and u is empty when there is no step. All maps together cover
+    every LP column once.
     """
 
     lp: LinearProgram
@@ -60,16 +62,33 @@ class FractionalityReport:
     integral: bool
 
 
-def _add_location_allocation(lp: LinearProgram, inst: Instance,
-                             y: tuple[int, ...],
-                             z: tuple[tuple[int, ...], ...]) -> None:
+def _steps(inst: Instance) -> np.ndarray:
+    """0-based positions s < m - 1 where lam drops; each ends a run above lam_m."""
+    return np.flatnonzero(inst.weights.deltas()[:-1])
+
+
+def _location_allocation(name: str, inst: Instance):
+    """The y and z columns and the shared rows: assignment, z <= y, cardinality.
+
+    Every sort position carries at least the last weight lam_m, so z_ij costs
+    lam_m * d_ij and the sorting rows price only the weights above lam_m.
+    """
     m = inst.m
+    cost = inst.weights.lam[-1] * inst.dist.d
+    lp = LinearProgram(name)
+    y = tuple(lp.add_variable(f"y_{j + 1}", 0.0, upper=1.0) for j in range(m))
+    z = tuple(
+        tuple(lp.add_variable(f"z_{i + 1}_{j + 1}", float(cost[i, j]), upper=1.0)
+              for j in range(m))
+        for i in range(m)
+    )
     for i in range(m):
         lp.add_row({z[i][j]: 1.0 for j in range(m)}, "=", 1.0, f"assign_{i + 1}")
     for i in range(m):
         for j in range(m):
             lp.add_row({z[i][j]: 1.0, y[j]: -1.0}, "<=", 0.0, f"zy_{i + 1}_{j + 1}")
     lp.add_row({y[j]: 1.0 for j in range(m)}, "=", float(inst.p), "card")
+    return lp, y, z
 
 
 def _attach_closest_assignment(lp: LinearProgram, rows: list[ClosestAssignmentRow],
@@ -84,46 +103,32 @@ def _attach_closest_assignment(lp: LinearProgram, rows: list[ClosestAssignmentRo
         lp.add_row(coeffs, "<=", row.rhs, f"near_{row.i + 1}_{row.j + 1}")
 
 
-def build_bep(inst: Instance, *, closest_assignment: bool = False,
-              drop_zero_rows: bool = False) -> DompModel:
-    """Build the sorting-by-duals model: min sum(u) + sum(v) over the polytope.
+def build_bep(inst: Instance, *, closest_assignment: bool = False) -> DompModel:
+    """Build the sorting-by-duals model over the location/allocation polytope.
 
-    Rows, in order: one assignment row per point, the z <= y linking rows,
-    the cardinality row, then for every point i and sort position r the row
-    u_i + v_r - lam_r * sum_j d_ij z_ij >= 0. With drop_zero_rows, positions
-    whose weight is zero lose their rows; value is preserved by pinning those
-    v to 0 and u to >= 0 (any optimum of the full model satisfies both).
+    With mu = lam - lam_m, the run of equal mu > 0 ending at step s gets one
+    free v_s costing its length, and each point i the row
+    u_i + v_s - mu_s * sum_j d_ij z_ij >= 0, with u_i >= 0 costing 1. The
+    per-position model on mu (free u, a v_r and a row per (i, r)) has the
+    same value for every (y, z): each v_r can drop to its run's minimum, and
+    shifting (u, v) by min u makes u >= 0, so the zero tail needs v_r = 0
+    and no rows. Without a step, u and v are empty: the p-median LP.
     """
     m = inst.m
     lam = inst.weights.lam
     d = inst.dist.d
-    lp = LinearProgram("bep")
-    y = tuple(lp.add_variable(f"y_{j + 1}", 0.0, upper=1.0) for j in range(m))
-    z = tuple(
-        tuple(lp.add_variable(f"z_{i + 1}_{j + 1}", 0.0, upper=1.0) for j in range(m))
-        for i in range(m)
-    )
-    trim = drop_zero_rows and bool((lam == 0.0).any())
-    if trim:
-        u = tuple(lp.add_variable(f"u_{i + 1}", 1.0) for i in range(m))
-        v = tuple(
-            lp.add_variable(f"v_{r + 1}", 1.0, upper=0.0) if lam[r] == 0.0
-            else lp.add_free_variable(f"v_{r + 1}", 1.0)
-            for r in range(m)
-        )
-    else:
-        u = tuple(lp.add_free_variable(f"u_{i + 1}", 1.0) for i in range(m))
-        v = tuple(lp.add_free_variable(f"v_{r + 1}", 1.0) for r in range(m))
-    _add_location_allocation(lp, inst, y, z)
+    steps = _steps(inst)
+    lp, y, z = _location_allocation("bep", inst)
+    u = tuple(lp.add_variable(f"u_{i + 1}", 1.0) for i in range(m)) if steps.size else ()
+    runs = np.diff(steps, prepend=-1)
+    v = tuple(lp.add_free_variable(f"v_{s + 1}", float(n))
+              for s, n in zip(steps, runs))
     for i in range(m):
-        row_d = d[i]
-        for r in range(m):
-            if trim and lam[r] == 0.0:
-                continue
-            coeffs = {z[i][j]: -lam[r] * row_d[j] for j in range(m)}
+        for k, s in enumerate(steps):
+            coeffs = {z[i][j]: -(lam[s] - lam[-1]) * d[i, j] for j in range(m)}
             coeffs[u[i]] = 1.0
-            coeffs[v[r]] = 1.0
-            lp.add_row(coeffs, ">=", 0.0, f"sort_{i + 1}_{r + 1}")
+            coeffs[v[k]] = 1.0
+            lp.add_row(coeffs, ">=", 0.0, f"sort_{i + 1}_{s + 1}")
     if closest_assignment:
         _attach_closest_assignment(lp, closest_assignment_rows(inst), y, z)
     return DompModel(lp=lp, tag=BEP, m=m, p=inst.p,
@@ -133,34 +138,27 @@ def build_bep(inst: Instance, *, closest_assignment: bool = False,
 def build_ot(inst: Instance, *, closest_assignment: bool = False) -> DompModel:
     """Build the telescoped-threshold model over largest-sum linearizations.
 
-    With deltas = adjacent weight differences, minimizes
-    sum_s deltas_s * (s * t_s + sum_i q_is) subject to the shared
-    location/allocation rows and q_is + t_s - sum_j d_ij z_ij >= 0.
+    The sorted objective is sum_s deltas_s * (top-s sum). The top-m sum is
+    priced on z; each step s < m adds t_s, q_is >= 0, the cost
+    deltas_s * (s * t_s + sum_i q_is) and rows q_is + t_s - sum_j d_ij z_ij
+    >= 0. A zero delta's block costs nothing and holds for every z.
     """
     m = inst.m
     deltas = inst.weights.deltas()
     d = inst.dist.d
-    lp = LinearProgram("ot")
-    y = tuple(lp.add_variable(f"y_{j + 1}", 0.0, upper=1.0) for j in range(m))
-    z = tuple(
-        tuple(lp.add_variable(f"z_{i + 1}_{j + 1}", 0.0, upper=1.0) for j in range(m))
-        for i in range(m)
-    )
-    t = tuple(
-        lp.add_free_variable(f"t_{s + 1}", float(deltas[s] * (s + 1)))
-        for s in range(m)
-    )
+    steps = _steps(inst)
+    lp, y, z = _location_allocation("ot", inst)
+    t = tuple(lp.add_free_variable(f"t_{s + 1}", float(deltas[s] * (s + 1)))
+              for s in steps)
     q = tuple(
-        tuple(lp.add_variable(f"q_{i + 1}_{s + 1}", float(deltas[s])) for s in range(m))
+        tuple(lp.add_variable(f"q_{i + 1}_{s + 1}", float(deltas[s])) for s in steps)
         for i in range(m)
     )
-    _add_location_allocation(lp, inst, y, z)
     for i in range(m):
-        row_d = d[i]
-        for s in range(m):
-            coeffs = {z[i][j]: -row_d[j] for j in range(m)}
-            coeffs[q[i][s]] = 1.0
-            coeffs[t[s]] = 1.0
+        for k, s in enumerate(steps):
+            coeffs = {z[i][j]: -d[i, j] for j in range(m)}
+            coeffs[q[i][k]] = 1.0
+            coeffs[t[k]] = 1.0
             lp.add_row(coeffs, ">=", 0.0, f"tail_{i + 1}_{s + 1}")
     if closest_assignment:
         _attach_closest_assignment(lp, closest_assignment_rows(inst), y, z)
@@ -214,12 +212,13 @@ def embed_integral(inst: Instance, sol: CenterSolution,
     """Lift a center solution to a feasible LP vector of equal objective.
 
     y and z are the indicators of sol. With allocation distances sorted
-    canonically as a_1 >= ... >= a_m and weights b, the sorting duals are
-    v_m = 0, v_r = v_{r+1} + a_{r+1} * (b_r - b_{r+1}), and u at the point
-    sorted r-th is a_r * b_r - v_r. Every row u_i + v_r >= b_r * d_i then
-    holds (with equality at r = sort position of i, by a telescoping
-    comparison against the monotone a), and the objective collapses to
-    sum_r a_r * b_r, the ordered median value.
+    canonically as a_1 >= ... >= a_m and mu = lam - lam_m, the per-position
+    duals are v_m = 0, v_r = v_{r+1} + a_{r+1} * (mu_r - mu_{r+1}), and u at
+    the point sorted r-th is a_r * mu_r - v_r >= 0; v is constant on each run
+    and 0 on the tail, so v_s takes its run's value. Every row
+    u_i + v_r >= mu_r * d_i holds (with equality at r = sort position of i,
+    by a telescoping comparison against the monotone a), and the objective
+    collapses to sum_r a_r * (lam_m + mu_r), the ordered median value.
     """
     if model.tag != BEP:
         raise ParameterError("integral embeddings are defined for the BEP model")
@@ -227,29 +226,28 @@ def embed_integral(inst: Instance, sol: CenterSolution,
         raise ParameterError("model was built from a different instance")
     m = inst.m
     lam = inst.weights.lam
+    mu = lam - lam[-1]
     x = np.zeros(model.lp.n_vars)
     for j in sol.centers:
         x[model.y[j]] = 1.0
     for i in range(m):
         x[model.z[i][sol.assignment[i]]] = 1.0
-    order = sorting_permutation(sol.distances).order
-    a = sol.distances[list(order)]
+    order = list(sorting_permutation(sol.distances).order)
+    a = sol.distances[order]
     v_sorted = np.zeros(m)
     for r in range(m - 2, -1, -1):
-        v_sorted[r] = v_sorted[r + 1] + a[r + 1] * (lam[r] - lam[r + 1])
-    u_sorted = a * lam - v_sorted
-    for k, i in enumerate(order):
-        x[model.u[i]] = u_sorted[k]
-    for r in range(m):
-        x[model.v[r]] = v_sorted[r]
+        v_sorted[r] = v_sorted[r + 1] + a[r + 1] * (mu[r] - mu[r + 1])
+    u = np.empty(m)
+    u[order] = a * mu - v_sorted
+    if model.u:
+        x[list(model.u)] = u
+        x[list(model.v)] = v_sorted[_steps(inst)]
     scale = 1e-9 * (1.0 + float(a[0]) * (1.0 + float(lam[0])))
-    worst = 0.0
-    for i in range(m):
-        slack = x[model.u[i]] + v_sorted - lam * sol.distances[i]
-        worst = min(worst, float(slack.min()))
+    # the tail column r = m (mu = v = 0) reads u >= 0
+    worst = float((u[:, None] + v_sorted - np.outer(sol.distances, mu)).min())
     if worst < -scale:
         raise AssertionError(f"embedding violates a sorting row by {-worst:.3e}")
-    value = float(u_sorted.sum() + v_sorted.sum())
+    value = float(u.sum() + v_sorted.sum() + lam[-1] * a.sum())
     if abs(value - sol.value) > 1e-9 * (1.0 + abs(sol.value)):
         raise AssertionError("embedding objective drifted from the solution value")
     return x

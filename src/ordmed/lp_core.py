@@ -123,8 +123,6 @@ class LpSolution:
     y: np.ndarray | None = None
     upper_duals: np.ndarray | None = None
     basis: frozenset[int] = frozenset()
-    integral_mask: np.ndarray | None = None
-    max_fractionality: float | None = None
     iterations: int = 0
 
     def is_optimal(self) -> bool:
@@ -352,7 +350,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     x = sim.x[:n].copy()
     # a fixed column's positive reduced cost belongs to its lower bound
     at_upper = ~sim.is_basic[:n] & (x == sim.hi[:n])
-    frac = np.abs(x - np.round(x))
     return LpSolution(
         status=OPTIMAL,
         x=x,
@@ -360,8 +357,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         y=sim.y,
         upper_duals=np.where(at_upper, np.minimum(sim.d[:n], 0.0), 0.0),
         basis=frozenset(int(j) for j in sim.basis if j < n),
-        integral_mask=frac <= INTEGRALITY_TOL,
-        max_fractionality=float(np.max(frac)) if n else 0.0,
         iterations=sim.iterations,
     )
 

@@ -61,6 +61,39 @@ def assignment_beats_closest(dist, lam, p) -> bool:
     return False
 
 
+def full_bep_lp(inst):
+    """The per-position sorting-duals model, whatever the weights.
+
+    Free u_i and v_r at cost 1, costless y and z, the shared assignment,
+    linking and cardinality rows, and one row
+    u_i + v_r - lam_r * sum_j d_ij z_ij >= 0 for every point i and sort
+    position r: m^2 sorting rows, against which the compact builders,
+    which price lam_m on z and keep one sorting block per weight step, are
+    checked.
+    """
+    from ordmed import LinearProgram
+
+    m, lam, d = inst.m, inst.weights.lam, inst.dist.d
+    lp = LinearProgram("full_bep")
+    y = [lp.add_variable(f"y_{j}", 0.0, upper=1.0) for j in range(m)]
+    z = [[lp.add_variable(f"z_{i}_{j}", 0.0, upper=1.0) for j in range(m)]
+         for i in range(m)]
+    u = [lp.add_free_variable(f"u_{i}", 1.0) for i in range(m)]
+    v = [lp.add_free_variable(f"v_{r}", 1.0) for r in range(m)]
+    for i in range(m):
+        lp.add_row({z[i][j]: 1.0 for j in range(m)}, "=", 1.0)
+        for j in range(m):
+            lp.add_row({z[i][j]: 1.0, y[j]: -1.0}, "<=", 0.0)
+    lp.add_row({y[j]: 1.0 for j in range(m)}, "=", float(inst.p))
+    for i in range(m):
+        for r in range(m):
+            coeffs = {z[i][j]: -lam[r] * d[i, j] for j in range(m)}
+            coeffs[u[i]] = 1.0
+            coeffs[v[r]] = 1.0
+            lp.add_row(coeffs, ">=", 0.0)
+    return lp
+
+
 def lp_vertex_oracle(c, rows, rels, b, upper, lower=None):
     """Exact LP minimum over lower <= x <= upper by rational active-set search.
 

@@ -320,6 +320,15 @@ class TestExitCodes:
         assert run(capsys, "relax", "--instance", t1_path,
                    "--weights", "ksum:x")[0] == 2
 
+    @pytest.mark.parametrize("spec", ["ksum: 3", " median"])
+    def test_blanks_in_a_spec_parse_as_in_the_library(self, capsys, t1_path, spec):
+        assert run(capsys, "relax", "--instance", t1_path, "--weights", spec)[0] == 0
+
+    def test_non_ascii_digit_is_a_usage_error(self, capsys, t1_path):
+        # str.isdigit accepts a superscript two, int() does not
+        assert run(capsys, "relax", "--instance", t1_path,
+                   "--weights", "ksum:\u00b2")[0] == 2
+
     def test_clusterability_takes_no_weights(self, capsys, t1_path):
         # the dip diagnostics never read weights, so the flag is not offered
         code, _, err = run(capsys, "clusterability", "--instance", t1_path,

@@ -261,3 +261,15 @@ class TestRecoveryStatus:
         monkeypatch.setattr(ordmed.exact, "solve_lp", damaged)
         with pytest.raises(ConvergenceError, match="residual"):
             recovery_status(t1_instance("median", p=1))
+
+    def test_stored_value_off_the_vertex_raises(self, monkeypatch):
+        # check_solution works from x and y only, so a stored value that
+        # disagrees with obj . x must be caught before it becomes v_lp.
+        solve = ordmed.exact.solve_lp
+
+        def misvalued(lp):
+            return dataclasses.replace(solve(lp), value=17.0)
+
+        monkeypatch.setattr(ordmed.exact, "solve_lp", misvalued)
+        with pytest.raises(ConvergenceError, match="value"):
+            recovery_status(t1_instance("median", p=1))

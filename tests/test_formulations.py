@@ -4,21 +4,31 @@ import numpy as np
 import pytest
 
 from ordmed import (
+    Instance,
     ParameterError,
+    PointSet,
     build_bep,
     build_ot,
     closest_allocation,
     closest_assignment_rows,
+    data_path,
     embed_integral,
+    floyd_warshall,
     fractionality_report,
+    generate_ball,
+    generate_uniform,
     make_weights,
     om_evaluate,
+    parse_pmed,
+    prefix_subsample,
+    resolve_weights,
     solve_enumeration,
     solve_lp,
 )
 from ordmed.formulations import BEP, OT
 
 from helpers import planar_instance, random_instance, random_points, t1_instance
+from oracles import full_bep_lp
 
 
 def lp_value(model):
@@ -27,22 +37,42 @@ def lp_value(model):
     return sol, float(sol.value)
 
 
+# (3, 2, 2, 1, 1): lam_m = 1, and runs above it at positions 1 and 2-3
+RUNS_ABOVE_TAIL = make_weights("explicit", 5, values=[3.0, 2.0, 2.0, 1.0, 1.0])
+
+
+def sorting_steps(lam):
+    """Positions s < m (0-based) with lam_s > lam_s+1: one per run above lam_m."""
+    return [s for s in range(len(lam) - 1) if lam[s] > lam[s + 1]]
+
+
+def shape_cases():
+    """t1 at p = 2 with S = 0, 1 and 2 runs of weights above lam_m."""
+    yield t1_instance("median", p=2), 0
+    yield t1_instance("center", p=2), 1
+    yield planar_instance(t1_instance().points.coords, RUNS_ABOVE_TAIL, 2), 2
+
+
 class TestModelShape:
+    # The models price lam_m on z and keep one sorting block per run of
+    # equal weights above lam_m, so the counts follow S, the number of runs.
     def test_bep_counts(self):
-        model = build_bep(t1_instance("median", p=2))
         m = 5
-        assert model.tag == BEP
-        assert model.lp.n_rows == m + m * m + 1 + m * m
-        assert model.lp.n_vars == m + m * m + 2 * m
-        assert model.lp.n_rows == 56
-        assert model.lp.n_vars == 40
+        for inst, S in shape_cases():
+            model = build_bep(inst)
+            assert model.tag == BEP
+            assert len(sorting_steps(inst.weights.lam)) == S
+            assert model.lp.n_rows == m + m * m + 1 + m * S
+            assert model.lp.n_vars == m + m * m + (m + S if S else 0)
+            assert (len(model.u), len(model.v)) == ((m, S) if S else (0, 0))
 
     def test_ot_counts(self):
-        model = build_ot(t1_instance("median", p=2))
         m = 5
-        assert model.tag == OT
-        assert model.lp.n_rows == (m + m * m + 1) + m * m
-        assert model.lp.n_vars == m + m * m + m + m * m
+        for inst, S in shape_cases():
+            model = build_ot(inst)
+            assert model.tag == OT
+            assert model.lp.n_rows == (m + m * m + 1) + m * S
+            assert model.lp.n_vars == m + m * m + S + m * S
 
     def test_index_maps_cover_columns(self):
         for model in (build_bep(t1_instance(p=2)), build_ot(t1_instance(p=2))):
@@ -58,49 +88,60 @@ class TestModelShape:
             assert cols == set(range(model.lp.n_vars))
 
     def test_sort_row_z_coefficient(self):
-        inst = t1_instance("centdian", p=1, gamma=0.5)
-        model = build_bep(inst)
-        lam = inst.weights.lam
-        d = inst.dist.d
-        # Rows come in blocks: assignment, linking, cardinality, sorting.
-        base = 5 + 25 + 1
-        for probe in ((0, 0), (2, 3), (4, 1)):
-            i, r = probe
-            coeffs, rel, rhs = model.lp.rows[base + i * 5 + r]
-            assert rel == ">="
-            assert rhs == 0.0
-            for j in range(5):
-                got = coeffs.get(model.z[i][j], 0.0)
-                assert got == pytest.approx(-lam[r] * d[i, j])
-            assert coeffs[model.u[i]] == 1.0
-            assert coeffs[model.v[r]] == 1.0
+        for weights in (make_weights("centdian", 5, gamma=0.5), RUNS_ABOVE_TAIL):
+            inst = planar_instance(t1_instance().points.coords, weights, 1)
+            model = build_bep(inst)
+            lam = inst.weights.lam
+            d = inst.dist.d
+            steps = sorting_steps(lam)
+            # Rows come in blocks: assignment, linking, cardinality, sorting,
+            # the last one point by point with one row per run.
+            base = 5 + 25 + 1
+            assert model.lp.n_rows == base + 5 * len(steps)
+            for i in (0, 2, 4):
+                for k, s in enumerate(steps):
+                    coeffs, rel, rhs = model.lp.rows[base + i * len(steps) + k]
+                    assert rel == ">="
+                    assert rhs == 0.0
+                    for j in range(5):
+                        got = coeffs.get(model.z[i][j], 0.0)
+                        assert got == pytest.approx(-(lam[s] - lam[-1]) * d[i, j])
+                    assert coeffs[model.u[i]] == 1.0
+                    assert coeffs[model.v[k]] == 1.0
 
     def test_objective_is_u_plus_v(self):
-        model = build_bep(t1_instance(p=2))
+        # u costs 1, v the length of its run, z_ij costs lam_m * d_ij
+        inst = planar_instance(t1_instance().points.coords, RUNS_ABOVE_TAIL, 2)
+        model = build_bep(inst)
         obj = np.array(model.lp.obj)
         for i in model.u:
             assert obj[i] == 1.0
-        for r in model.v:
-            assert obj[r] == 1.0
+        assert [obj[k] for k in model.v] == [1.0, 2.0]
         for j in model.y:
             assert obj[j] == 0.0
+        for i in range(5):
+            for j in range(5):
+                assert obj[model.z[i][j]] == pytest.approx(inst.dist.d[i, j])
 
     def test_ot_center_objective(self):
         inst = t1_instance("center", p=2)
         model = build_ot(inst)
         obj = np.array(model.lp.obj)
+        assert len(model.t) == 1
         assert obj[model.t[0]] == pytest.approx(1.0)
         for i in range(5):
             assert obj[model.q[i][0]] == pytest.approx(1.0)
-        for s in range(1, 5):
-            assert obj[model.t[s]] == 0.0
+            for j in range(5):
+                assert obj[model.z[i][j]] == 0.0
 
     def test_ot_median_objective(self):
-        model = build_ot(t1_instance("median", p=2))
+        # the top-5 sum is sum_ij d_ij z_ij, priced on z with no threshold
+        inst = t1_instance("median", p=2)
+        model = build_ot(inst)
         obj = np.array(model.lp.obj)
-        assert obj[model.t[4]] == pytest.approx(5.0)
-        assert obj[model.q[2][4]] == pytest.approx(1.0)
-        assert obj[model.t[0]] == 0.0
+        assert model.t == ()
+        assert obj[model.z[2][4]] == pytest.approx(inst.dist.d[2, 4])
+        assert obj[model.z[0][0]] == 0.0
 
 
 class TestClosestAssignmentRows:
@@ -215,16 +256,6 @@ class TestRelaxationValues:
         _, value = lp_value(build_bep(t1_instance("median", p=5)))
         assert value == pytest.approx(0.0, abs=1e-9)
 
-    def test_zero_weight_rows_can_be_dropped(self):
-        for kind, kw in (("center", {}), ("ksum", {"k": 2})):
-            inst = t1_instance(kind, p=1, **kw)
-            full_model = build_bep(inst)
-            slim_model = build_bep(inst, drop_zero_rows=True)
-            assert slim_model.lp.n_rows < full_model.lp.n_rows
-            _, full = lp_value(full_model)
-            _, slim = lp_value(slim_model)
-            assert slim == pytest.approx(full, abs=1e-8)
-
     def test_formulations_agree(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
@@ -273,3 +304,49 @@ class TestRelaxationValues:
         _, ot = lp_value(build_ot(inst))
         assert abs(bep - ot) <= 1e-6 * (1.0 + abs(bep))
         assert bep <= solve_enumeration(inst).value + 1e-7
+
+
+def oracle_corpus():
+    """Integer-grid, pmed1-prefix, ball and uniform distances at m = 7 under
+    the four families, a run of equal weights inside a zero tail and all-zero
+    weights, each at p = 1, 2, 3."""
+    rng = np.random.default_rng(59)
+    m = 7
+    dists = (
+        PointSet(rng.integers(0, 4, size=(m, 2)).astype(float)).distance_matrix(),
+        prefix_subsample(floyd_warshall(parse_pmed(data_path("pmed1.txt"))), m),
+        generate_ball(m, 2, 0.1, 1.0, seed=5)[1],
+        generate_uniform(m, seed=5)[1],
+    )
+    weights = [resolve_weights(spec, m)
+               for spec in ("median", "center", "ksum:2", "centdian:0.5")]
+    weights.append(make_weights("explicit", m, values=[3, 2, 2, 1, 1, 0, 0]))
+    weights.append(make_weights("explicit", m, values=[0.0] * m))
+    return [Instance(dist, w, p) for dist in dists for w in weights for p in (1, 2, 3)]
+
+
+class TestFullModelOracle:
+    # The per-position m^2 model is the reference the compact rows replace.
+    def test_compact_models_match_the_full_model(self):
+        for inst in oracle_corpus():
+            full = solve_lp(full_bep_lp(inst))
+            assert full.status == "Optimal"
+            for model in (build_bep(inst), build_ot(inst)):
+                _, value = lp_value(model)
+                assert abs(value - full.value) <= 1e-9 * (1.0 + abs(full.value))
+
+    def test_embedded_optimum_is_feasible_at_its_value(self):
+        for inst in oracle_corpus():
+            model = build_bep(inst)
+            sol = solve_enumeration(inst)
+            x = embed_integral(inst, sol, model)
+            a, rels, b = model.lp.dense()
+            slack = a @ x - b
+            rels = np.array(rels)
+            assert np.all(slack[rels == ">="] >= -1e-9)
+            assert np.all(slack[rels == "<="] <= 1e-9)
+            assert np.all(np.abs(slack[rels == "="]) <= 1e-9)
+            assert np.all(x >= np.array(model.lp.lower) - 1e-12)
+            assert np.all(x <= np.array(model.lp.upper) + 1e-12)
+            value = float(np.dot(model.lp.obj, x))
+            assert abs(value - sol.value) <= 1e-9 * (1.0 + abs(sol.value))
