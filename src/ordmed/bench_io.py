@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -273,21 +273,39 @@ class ExperimentRow:
     m: int
     p: int
     family: str
-    param: float | None
-    v_ip: float | None
-    v_lp: float | None
-    gap_lp: float | None
-    gap_lp_root: float | None
-    recovered: bool | None
-    vertex_integral: bool | None
-    time_enumeration: float | None
-    time_lp: float | None
-    dip: float | None
-    dip_pvalue: float | None
-    label_dip: str
-    label_pvalue: str
-    free_of_equidistance: bool | None
-    error: str
+    param: float | None = None
+    v_ip: float | None = None
+    v_lp: float | None = None
+    gap_lp: float | None = None
+    gap_lp_root: float | None = None
+    recovered: bool | None = None
+    vertex_integral: bool | None = None
+    time_enumeration: float | None = None
+    time_lp: float | None = None
+    dip: float | None = None
+    dip_pvalue: float | None = None
+    label_dip: str = ""
+    label_pvalue: str = ""
+    free_of_equidistance: bool | None = None
+    error: str = ""
+
+
+def collection_labels(entries) -> list[tuple[str, str]]:
+    """(dip-stat label, dip-pvalue label) per (id, dip, p-value) entry.
+
+    Labels rank an entry against the other entries that have a dip. An entry
+    whose dip is None, and every entry when fewer than two have a dip, gets
+    blanks.
+    """
+    labels = [("", "")] * len(entries)
+    scored = [k for k, entry in enumerate(entries) if entry[1] is not None]
+    if len(scored) >= 2:
+        kept = [entries[k] for k in scored]
+        for k, by_dip, by_pvalue in zip(
+                scored, classify_collection(kept, basis="dip-stat"),
+                classify_collection(kept, basis="dip-pvalue")):
+            labels[k] = (by_dip.label, by_pvalue.label)
+    return labels
 
 
 def _instance_profile(dist: DistanceMatrix, bootstrap: int, seed: int):
@@ -329,9 +347,11 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
     pair may also carry (name, dist, points) to keep coordinates. families:
     weight spec strings for resolve_weights. Cell failures are caught and
     recorded in-row; the batch always completes. Rows come back in input
-    order (instance, then family, then p). Clusterability labels are
-    computed across the instance collection and repeated on each of an
-    instance's rows; with fewer than two instances they stay empty.
+    order (instance, then family, then p). Instance idx bootstraps its dip
+    p-value with seed + idx; where its dip cannot be computed (a negative
+    seed, say) the dip columns stay empty. Clusterability labels are
+    computed across the instances with a dip and repeated on each of an
+    instance's rows; with fewer than two such instances they stay empty.
     """
     norm: list[tuple[str, DistanceMatrix, PointSet | None]] = []
     for entry in instances:
@@ -344,36 +364,22 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
 
     profiles = [_instance_profile(dist, bootstrap, seed + idx)
                 for idx, (_, dist, _) in enumerate(norm)]
-    scored = [(idx, dip, pval) for idx, (dip, pval) in enumerate(profiles)
-              if dip is not None]
-    label_dip = {}
-    label_pval = {}
-    if len(scored) >= 2:
-        for (idx, _, _), lab in zip(
-                scored, classify_collection(scored, basis="dip-stat")):
-            label_dip[idx] = lab.label
-        for (idx, _, _), lab in zip(
-                scored, classify_collection(scored, basis="dip-pvalue")):
-            label_pval[idx] = lab.label
+    labels = collection_labels([(name, dip, pval) for (name, _, _), (dip, pval)
+                                in zip(norm, profiles)])
+    shared = [  # the fields every row of one instance repeats
+        {"dip": dip, "dip_pvalue": pval, "label_dip": label_dip,
+         "label_pvalue": label_pvalue,
+         "free_of_equidistance": is_free_of_equidistance(dist)}
+        for (_, dist, _), (dip, pval), (label_dip, label_pvalue)
+        in zip(norm, profiles, labels)]
 
     def solve(idx, name, dist, points, spec, p):
-        base = {
-            "instance": name, "m": dist.m, "p": p,
-            "family": spec.partition(":")[0], "param": None,
-            "v_ip": None, "v_lp": None, "gap_lp": None, "gap_lp_root": None,
-            "recovered": None, "vertex_integral": None,
-            "time_enumeration": None, "time_lp": None,
-            "dip": profiles[idx][0], "dip_pvalue": profiles[idx][1],
-            "label_dip": label_dip.get(idx, ""),
-            "label_pvalue": label_pval.get(idx, ""),
-            "free_of_equidistance": is_free_of_equidistance(dist),
-            "error": "",
-        }
         try:
-            base.update(_run_cell(dist, points, spec, p))
+            cell = _run_cell(dist, points, spec, p)
         except Exception as exc:  # per-row fault isolation, batch never dies
-            base["error"] = f"{type(exc).__name__}: {exc}".splitlines()[0]
-        return ExperimentRow(**base)
+            cell = {"family": spec.partition(":")[0],
+                    "error": f"{type(exc).__name__}: {exc}".splitlines()[0]}
+        return ExperimentRow(instance=name, m=dist.m, p=p, **shared[idx], **cell)
 
     return [solve(idx, name, dist, points, spec, p)
             for idx, (name, dist, points) in enumerate(norm)
@@ -381,8 +387,12 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
             for p in p_values]
 
 
-def _format_cell(value, *, blank: bool = False) -> str:
-    if blank or value is None:
+def format_cell(value) -> str:
+    """One report value as text: None blank, booleans true/false, floats %.9g.
+
+    Sequences print space-separated, each item formatted the same way.
+    """
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -390,7 +400,24 @@ def _format_cell(value, *, blank: bool = False) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "%.9g" % float(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return " ".join(format_cell(v) for v in value)
     return str(value)
+
+
+def format_csv(header, rows) -> str:
+    """A header line and one line per row of values, each through format_cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_cell(v) for v in row] for row in rows)
+    return out.getvalue()
+
+
+def row_values(row: ExperimentRow, *, include_times: bool = False) -> dict:
+    """A row's fields in header order, the time columns None unless included."""
+    return {name: None if name.startswith("time_") and not include_times
+            else value for name, value in asdict(row).items()}
 
 
 def rows_to_csv(rows, *, include_times: bool = False) -> str:
@@ -401,17 +428,9 @@ def rows_to_csv(rows, *, include_times: bool = False) -> str:
     unless include_times is set, so that default output is byte-identical
     across reruns with equal seeds and flags.
     """
-    names = [f.name for f in fields(ExperimentRow)]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names)
-    for row in rows:
-        writer.writerow([
-            _format_cell(getattr(row, name),
-                         blank=(not include_times) and name.startswith("time_"))
-            for name in names
-        ])
-    return out.getvalue()
+    return format_csv(
+        [f.name for f in fields(ExperimentRow)],
+        (row_values(row, include_times=include_times).values() for row in rows))
 
 
 def profile_series(rows, *, points: int = PROFILE_POINTS) -> dict[str, str]:

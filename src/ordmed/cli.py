@@ -11,25 +11,27 @@ stdout or the -o file; everything human-oriented goes to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
-from .bench_io import floyd_warshall, generate_ball, generate_uniform, \
-    parse_pmed, parse_weight_spec, prefix_subsample, profile_series, \
-    resolve_weights, rows_to_csv, run_experiment
+from .bench_io import collection_labels, floyd_warshall, format_csv, \
+    format_cell, generate_ball, generate_uniform, parse_pmed, \
+    parse_weight_spec, prefix_subsample, profile_series, resolve_weights, \
+    row_values, rows_to_csv, run_experiment
 from .certificates import search_certificate
-from .clusterability import classify_collection, clusterability_sample, \
-    dip_pvalue, dip_statistic
+from .clusterability import clusterability_sample, dip_pvalue, dip_statistic
 from .errors import OrdmedError, ParameterError
 from .exact import recovery_status, solve_enumeration
 from .formulations import build_bep, build_ot
 from .instance import Instance, PointSet, read_instance, write_instance
 
 _WEIGHT_GRAMMAR = "median | center | ksum:K | centdian:G | file:PATH"
+_CLUSTERABILITY_HEADER = ("instance", "dip", "dip_pvalue", "label_dip",
+                          "label_pvalue")
 
 
 def _weight_spec(text: str) -> str:
@@ -48,6 +50,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordmed",
@@ -56,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, multi_instance=False):
+        """Declare every flag a group of subcommands shares, once."""
         if multi_instance:
             sp.add_argument("--instance", action="append", default=[],
                             metavar="PATH",
@@ -75,16 +85,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write data here instead of stdout")
         sp.add_argument("--json", action="store_true", dest="json_lines",
                         help="emit JSON instead of plain text")
+        if multi_instance:
+            sp.add_argument("--bootstrap", type=_positive_int, default=1000,
+                            metavar="B", help="uniform resamples for the "
+                            "p-value")
+            sp.add_argument("--seed", type=_nonnegative_int, default=0,
+                            help="bootstrap seed")
+        else:
+            sp.add_argument("--p", type=_positive_int, help="number of "
+                            "centers (default: the file's declared p)")
 
     sp = sub.add_parser("solve", help="exact optimum by subset enumeration")
     common(sp)
-    sp.add_argument("--p", type=_positive_int, help="number of centers "
-                    "(default: the file's declared p)")
 
     sp = sub.add_parser("relax", help="LP relaxation value and recovery check")
     common(sp)
-    sp.add_argument("--p", type=_positive_int, help="number of centers "
-                    "(default: the file's declared p)")
     sp.add_argument("--formulation", choices=("bep", "ot"), default="bep",
                     help="LP shape: sorting rows (bep) or tail sums (ot)")
     sp.add_argument("--closest-assignment", action="store_true",
@@ -92,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="search a dual certificate at the optimum")
     common(sp)
-    sp.add_argument("--p", type=_positive_int, help="number of centers "
-                    "(default: the file's declared p)")
     sp.add_argument("--strict", action="store_true",
                     help="demand strict inequalities by a positive margin")
     sp.add_argument("--eps", type=float,
@@ -102,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("clusterability",
                         help="dip statistic, p-value, and collection labels")
     common(sp, multi_instance=True)
-    sp.add_argument("--bootstrap", type=_positive_int, default=1000,
-                    metavar="B", help="uniform resamples for the p-value")
-    sp.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     sp.add_argument("--sample-mode", choices=("auto", "distances", "mds"),
                     default="auto", help="1-D sample: raw distances, 1-D "
                     "projection, or size-based auto choice")
@@ -122,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ball generator: minimum distance between cluster centers")
     sp.add_argument("--dim", type=_positive_int, default=2,
                     help="coordinate dimension")
-    sp.add_argument("--seed", type=int, default=0, help="generator seed")
+    sp.add_argument("--seed", type=_nonnegative_int, default=0,
+                    help="generator seed")
     sp.add_argument("--p", type=_positive_int,
                     help="declared center count (default: clusters for ball, 1 "
                          "for uniform)")
@@ -130,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the instance here instead of stdout")
 
     sp = sub.add_parser("experiment", help="batch harness over instance files")
-    sp.add_argument("--instance", action="append", default=[], metavar="PATH",
-                    help="instance file (repeatable)")
+    common(sp, multi_instance=True)
     sp.add_argument("--pmed", action="append", default=[], metavar="PATH",
                     help="benchmark edge-list file (repeatable), completed by "
                          "all-pairs shortest paths")
@@ -141,45 +151,24 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: median)")
     sp.add_argument("--p", type=_positive_int, action="append", default=[],
                     help="center count, repeatable (default: 2)")
-    sp.add_argument("--subsample", type=_positive_int, metavar="M",
-                    help="keep only the first M points of every instance")
-    sp.add_argument("--seed", type=int, default=0, help="bootstrap seed")
-    sp.add_argument("--bootstrap", type=_positive_int, default=1000,
-                    metavar="B", help="uniform resamples for the p-value")
     sp.add_argument("--include-times", action="store_true",
                     help="fill the wall-clock time columns (breaks "
                          "byte-identity of reruns)")
     sp.add_argument("--profile-dir", metavar="DIR",
                     help="also write per-family performance profiles here")
-    sp.add_argument("-o", "--output", metavar="PATH",
-                    help="write the table here instead of stdout")
-    sp.add_argument("--json", action="store_true", dest="json_lines",
-                    help="one JSON object per row instead of CSV")
     return parser
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.9g" % float(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return " ".join(_fmt(v) for v in value)
+def _json_default(value):
+    """What json cannot encode by itself: numpy scalars and arrays."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    return str(value)
+def _json_lines(records) -> str:
+    return "".join(json.dumps(rec, default=_json_default) + "\n"
+                   for rec in records)
 
 
 def _emit(text: str, ns: argparse.Namespace) -> None:
@@ -193,24 +182,37 @@ def _emit(text: str, ns: argparse.Namespace) -> None:
 
 def _emit_pairs(pairs, ns: argparse.Namespace) -> None:
     if ns.json_lines:
-        obj = {key: _jsonable(val) for key, val in pairs}
-        _emit(json.dumps(obj) + "\n", ns)
+        _emit(_json_lines([dict(pairs)]), ns)
     else:
-        _emit("".join(f"{key} {_fmt(val)}\n" for key, val in pairs), ns)
+        _emit("".join(f"{key} {format_cell(val)}\n" for key, val in pairs), ns)
+
+
+def _read(path, subsample, *, pmed=False):
+    """(dist, points, file p, file weights) of an instance file, or of a
+    benchmark edge list when pmed, cut to its first `subsample` points."""
+    if pmed:
+        dist, points, p, weights = floyd_warshall(parse_pmed(path)), None, None, None
+    else:
+        dist, points, p, weights = read_instance(path)
+    if subsample is not None:
+        dist = prefix_subsample(dist, subsample)
+        points = None if points is None else PointSet(points.coords[:subsample])
+    return dist, points, p, weights
 
 
 def _load_instance(ns: argparse.Namespace) -> Instance:
-    dist, points, file_p, file_weights = read_instance(ns.instance)
-    if ns.subsample is not None:
-        dist = prefix_subsample(dist, ns.subsample)
-        if points is not None:
-            points = PointSet(points.coords[:ns.subsample])
+    dist, points, file_p, file_weights = _read(ns.instance, ns.subsample)
     if ns.weights is not None:
         weights = resolve_weights(ns.weights, dist.m)
-    elif file_weights is not None and file_weights.m == dist.m:
-        weights = file_weights
-    else:
+    elif file_weights is None:
         weights = resolve_weights("median", dist.m)
+    elif file_weights.m != dist.m:
+        raise ParameterError(
+            f"{ns.instance} stores {file_weights.m} weights but --subsample "
+            f"keeps {dist.m} points; pass --weights to choose weights for "
+            "the prefix")
+    else:
+        weights = file_weights
     p = file_p if ns.p is None else ns.p
     return Instance(dist, weights, p, points)
 
@@ -261,31 +263,18 @@ def _cmd_clusterability(ns: argparse.Namespace) -> int:
         raise OrdmedError("clusterability needs at least one --instance")
     entries = []
     for path in ns.instance:
-        dist = read_instance(path)[0]
-        if ns.subsample is not None:
-            dist = prefix_subsample(dist, ns.subsample)
-        sample = clusterability_sample(dist, mode=ns.sample_mode)
+        sample = clusterability_sample(_read(path, ns.subsample)[0],
+                                       mode=ns.sample_mode)
         dip = dip_statistic(sample).dip
         pval = dip_pvalue(sample, bootstrap=ns.bootstrap, seed=ns.seed)
         entries.append((path, dip, pval))
-    if len(entries) >= 2:
-        stat_labels = [lab.label for lab in classify_collection(entries)]
-        pval_labels = [lab.label
-                       for lab in classify_collection(entries, basis="dip-pvalue")]
-    else:
-        stat_labels = pval_labels = [""] * len(entries)
+    rows = [entry + labels
+            for entry, labels in zip(entries, collection_labels(entries))]
     if ns.json_lines:
-        lines = [json.dumps({"instance": path, "dip": dip, "dip_pvalue": pval,
-                             "label_dip": sl, "label_pvalue": pl})
-                 for (path, dip, pval), sl, pl
-                 in zip(entries, stat_labels, pval_labels)]
-        _emit("\n".join(lines) + "\n", ns)
+        _emit(_json_lines(dict(zip(_CLUSTERABILITY_HEADER, row))
+                          for row in rows), ns)
     else:
-        lines = ["instance,dip,dip_pvalue,label_dip,label_pvalue"]
-        lines += ["%s,%.9g,%.9g,%s,%s" % (path, dip, pval, sl, pl)
-                  for (path, dip, pval), sl, pl
-                  in zip(entries, stat_labels, pval_labels)]
-        _emit("\n".join(lines) + "\n", ns)
+        _emit(format_csv(_CLUSTERABILITY_HEADER, rows), ns)
     return 0
 
 
@@ -297,43 +286,26 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
     else:
         points, _ = generate_uniform(ns.m, dim=ns.dim, seed=ns.seed)
         p = 1 if ns.p is None else ns.p
-    if ns.output:
-        write_instance(ns.output, points=points, p=p)
-        print(f"wrote {ns.output}", file=sys.stderr)
-    else:
-        write_instance(sys.stdout, points=points, p=p)
+    buf = io.StringIO()
+    write_instance(buf, points=points, p=p)
+    _emit(buf.getvalue(), ns)
     return 0
 
 
 def _cmd_experiment(ns: argparse.Namespace) -> int:
     if not ns.instance and not ns.pmed:
         raise OrdmedError("experiment needs --instance or --pmed inputs")
-    loaded = []
-    for path in ns.instance:
-        dist, points, _, _ = read_instance(path)
-        if ns.subsample is not None:
-            dist = prefix_subsample(dist, ns.subsample)
-            points = None if points is None else PointSet(
-                points.coords[:ns.subsample])
-        loaded.append((os.path.basename(path), dist, points))
-    for path in ns.pmed:
-        dist = floyd_warshall(parse_pmed(path))
-        name = os.path.basename(path)
-        if ns.subsample is not None:
-            dist = prefix_subsample(dist, ns.subsample)
-            name = f"{name}@{ns.subsample}"
-        loaded.append((name, dist, None))
+    loaded = [(os.path.basename(path), *_read(path, ns.subsample)[:2])
+              for path in ns.instance]
+    suffix = "" if ns.subsample is None else f"@{ns.subsample}"
+    loaded += [(os.path.basename(path) + suffix,
+                _read(path, ns.subsample, pmed=True)[0], None)
+               for path in ns.pmed]
     rows = run_experiment(loaded, ns.weights or ["median"], ns.p or [2],
                           seed=ns.seed, bootstrap=ns.bootstrap)
     if ns.json_lines:
-        out_lines = []
-        for row in rows:
-            record = {key: _jsonable(val) for key, val in asdict(row).items()}
-            if not ns.include_times:
-                record["time_enumeration"] = None
-                record["time_lp"] = None
-            out_lines.append(json.dumps(record))
-        _emit("\n".join(out_lines) + "\n", ns)
+        _emit(_json_lines(row_values(row, include_times=ns.include_times)
+                          for row in rows), ns)
     else:
         _emit(rows_to_csv(rows, include_times=ns.include_times), ns)
     failures = sum(1 for row in rows if row.error)
@@ -369,10 +341,7 @@ def main(argv=None) -> int:
         return 0 if exc.code is None else 2
     try:
         return _HANDLERS[ns.subcommand](ns)
-    except OrdmedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OrdmedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

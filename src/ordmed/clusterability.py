@@ -180,9 +180,12 @@ def dip_pvalue(sample, bootstrap: int = 1000, seed: int = 0) -> float:
     Each replicate draws from its own (seed, replicate) substream, so the
     result is deterministic and independent of evaluation order. Uses the
     add-one correction: p = (1 + #{replicate dip >= observed}) / (bootstrap + 1).
+    The seed must be non-negative.
     """
     if bootstrap < 100:
         raise ParameterError("bootstrap count must be at least 100")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     x = np.asarray(sample, dtype=float)
     observed = dip_statistic(x).dip
     n = len(x)

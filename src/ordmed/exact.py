@@ -28,7 +28,9 @@ class RecoveryReport:
     recovered means the relaxation value matches the exact optimum to
     relative tolerance; vertex_integral is the stronger statement that the
     returned LP vertex itself has a binary location/allocation block.
-    gap_lp is (v_ip - v_lp) / v_ip clamped to [0, 1], with 0/0 read as 0.
+    gap_lp is (v_ip - v_lp) / v_ip clamped to [0, 1], and exactly 0 when
+    recovered (so round-off inside the tolerance never prints as a gap) or
+    when v_ip is 0.
     """
 
     v_ip: float
@@ -117,7 +119,8 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     if v_lp > v_ip + tol:
         raise AssertionError(
             f"relaxation value {v_lp!r} exceeds the exact optimum {v_ip!r}")
-    if v_ip == 0.0:
+    recovered = abs(v_ip - v_lp) <= tol
+    if recovered or v_ip == 0.0:
         gap = 0.0
     else:
         gap = min(1.0, max(0.0, (v_ip - v_lp) / v_ip))
@@ -126,7 +129,7 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
         v_lp=v_lp,
         best_solution=best,
         gap_lp=gap,
-        recovered=bool(abs(v_ip - v_lp) <= tol),
+        recovered=recovered,
         vertex_integral=fractionality_report(model, sol).integral,
         time_enumeration=time_enumeration,
         time_lp=time_lp,

@@ -1,10 +1,12 @@
 """Benchmark parsing, shortest paths, generators, and the experiment harness."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import ordmed.bench_io
 from ordmed import (
     OrdmedError,
     ParameterError,
@@ -266,6 +268,29 @@ class TestRunExperiment:
         rows = run_experiment(ball_instances(2), ["center"], [1], bootstrap=100)
         for row in rows:
             assert row.gap_lp_root == row.gap_lp
+
+    def test_negative_seed_blanks_the_dip_instead_of_dying(self):
+        rows = run_experiment(ball_instances(2), ["median"], [2], seed=-1,
+                              bootstrap=100)
+        assert [row.error for row in rows] == ["", ""]
+        assert (rows[0].dip, rows[0].dip_pvalue) == (None, None)
+        assert rows[1].dip is not None  # instance 1 is seeded with -1 + 1
+        assert [row.label_dip for row in rows] == ["", ""]
+
+    def test_calls_per_instance_and_per_row(self, monkeypatch):
+        calls = Counter()
+        for name in ("is_free_of_equidistance", "dip_statistic",
+                     "recovery_status"):
+            real = getattr(ordmed.bench_io, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(ordmed.bench_io, name, counted)
+        run_experiment(ball_instances(2), ["median", "center"], [1, 2],
+                       bootstrap=100)
+        assert calls == {"is_free_of_equidistance": 2, "dip_statistic": 2,
+                         "recovery_status": 8}
 
 
 class TestCsvRendering:

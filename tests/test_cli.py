@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface, run in-process."""
 
+import csv
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from ordmed import PointSet, write_instance
+from ordmed import PointSet, make_weights, write_instance
 from ordmed.cli import main
 
 from helpers import T1_COORDS
@@ -26,6 +29,16 @@ def ball_path(tmp_path_factory):
                  "--radius", "0.1", "--sep", "10", "--seed", "7",
                  "-o", str(path)])
     assert code == 0
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def center_matrix_path(tmp_path_factory):
+    """Matrix-format file, m = 8, that stores center weights."""
+    path = tmp_path_factory.mktemp("cli") / "m8.txt"
+    pts = PointSet(np.random.default_rng(5).uniform(size=(8, 2)))
+    write_instance(path, dist=pts.distance_matrix(), p=2,
+                   weights=make_weights("center", 8))
     return str(path)
 
 
@@ -129,6 +142,32 @@ class TestRelax:
         assert pairs(dest.read_text())["v_lp"] == "18"
 
 
+class TestSubsampleWeights:
+    def test_stored_weights_refuse_a_shorter_prefix(self, capsys,
+                                                    center_matrix_path):
+        code, out, err = run(capsys, "relax", "--instance", center_matrix_path,
+                             "--subsample", "6")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "8" in err and "6" in err and "--weights" in err
+
+    def test_explicit_weights_apply_to_the_prefix(self, capsys,
+                                                  center_matrix_path):
+        code, out, _ = run(capsys, "relax", "--instance", center_matrix_path,
+                           "--subsample", "6", "--weights", "center")
+        assert code == 0
+        assert pairs(out)["recovered"] == "false"
+
+    def test_full_length_prefix_keeps_stored_weights(self, capsys,
+                                                     center_matrix_path):
+        whole = run(capsys, "solve", "--instance", center_matrix_path)[1]
+        code, out, _ = run(capsys, "solve", "--instance", center_matrix_path,
+                           "--subsample", "8")
+        assert code == 0
+        assert out == whole
+
+
 class TestCertify:
     def test_center_infeasible_still_succeeds(self, capsys, t1_path):
         code, out, err = run(capsys, "certify", "--instance", t1_path,
@@ -191,6 +230,17 @@ class TestClusterability:
         assert len(recs) == 2
         assert set(recs[0]) == {"instance", "dip", "dip_pvalue",
                                 "label_dip", "label_pvalue"}
+
+    def test_comma_in_a_path_stays_one_field(self, capsys, t1_path, tmp_path):
+        path = tmp_path / "a,b" / "x.txt"
+        path.parent.mkdir()
+        shutil.copy(t1_path, path)
+        code, out, _ = run(capsys, "clusterability", "--instance", str(path),
+                           "--bootstrap", "100")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(row) for row in rows] == [5, 5]
+        assert rows[1][0] == str(path)
 
     def test_sample_mode_flag(self, capsys, ball_path):
         code, out, _ = run(capsys, "clusterability", "--instance", ball_path,
@@ -328,6 +378,17 @@ class TestExitCodes:
         # str.isdigit accepts a superscript two, int() does not
         assert run(capsys, "relax", "--instance", t1_path,
                    "--weights", "ksum:\u00b2")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["clusterability", "--instance", "{t1}", "--bootstrap", "100"],
+        ["experiment", "--instance", "{t1}", "--bootstrap", "100"],
+        ["generate", "uniform", "--m", "5"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, capsys, t1_path, argv):
+        code, _, err = run(capsys, *[a.format(t1=t1_path) for a in argv],
+                           "--seed", "-1")
+        assert code == 2
+        assert "--seed" in err
 
     def test_clusterability_takes_no_weights(self, capsys, t1_path):
         # the dip diagnostics never read weights, so the flag is not offered

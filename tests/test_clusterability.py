@@ -119,6 +119,10 @@ class TestDipPvalue:
         with pytest.raises(ParameterError):
             dip_pvalue(np.array([0.0, 1.0, 2.0]), bootstrap=50)
 
+    def test_negative_seed_checked(self):
+        with pytest.raises(ParameterError, match="seed"):
+            dip_pvalue(np.array([0.0, 1.0, 2.0]), bootstrap=100, seed=-1)
+
 
 class TestMds1d:
     def test_three_line_points(self):

@@ -227,6 +227,20 @@ class TestRecoveryStatus:
             expected_gap = (rep.v_ip - rep.v_lp) / rep.v_ip if rep.v_ip else 0.0
             assert rep.gap_lp == pytest.approx(max(0.0, expected_gap), abs=1e-12)
 
+    def test_recovered_cells_report_zero_gap(self):
+        # a recovered cell's v_ip - v_lp is round-off; it must not print as a gap
+        recovered = 0
+        for seed in range(6):
+            for pts, dist in (generate_ball(8, 3, 0.5, 4.0, seed=seed),
+                              generate_uniform(8, seed=seed)):
+                for spec in ("median", "centdian:0.5"):
+                    rep = recovery_status(
+                        Instance(dist, resolve_weights(spec, 8), 3, pts))
+                    if rep.recovered:
+                        recovered += 1
+                        assert rep.gap_lp == 0.0
+        assert recovered > 0
+
     def test_explicit_model_is_used(self):
         inst = t1_instance("median", p=1)
         rep = recovery_status(inst, model=build_ot(inst))
