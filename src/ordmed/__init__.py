@@ -24,8 +24,7 @@ from .errors import (ConvergenceError, OrdmedError, ParameterError,
                      ParseError, SizeGuardError)
 from .exact import (RecoveryReport, recovery_status, solve_enumeration)
 from .formulations import (DompModel, FractionalityReport, build_bep,
-                           build_ot, closest_assignment_rows, embed_integral,
-                           fractionality_report)
+                           build_ot, embed_integral, fractionality_report)
 from .instance import (CenterSolution, DistanceMatrix, Instance, PointSet,
                        ValidationReport, WeightClass, WeightVector,
                        classify_weights, fixture_t1, is_free_of_equidistance,

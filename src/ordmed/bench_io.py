@@ -254,7 +254,11 @@ def resolve_weights(spec: str, m: int) -> WeightVector:
         return make_weights(name, m, gamma=arg)
     if name == "file":
         with open(arg, "r", encoding="utf-8") as fh:
-            values = [float(tok) for tok in fh.read().split()]
+            tokens = fh.read().split()
+        try:
+            values = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise ParameterError(f"{arg}: {exc}") from None
         return make_weights("explicit", m, values=values)
     return make_weights(name, m)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -23,7 +24,8 @@ from .bench_io import collection_labels, floyd_warshall, format_csv, \
     parse_weight_spec, prefix_subsample, profile_series, resolve_weights, \
     row_values, rows_to_csv, run_experiment
 from .certificates import search_certificate
-from .clusterability import clusterability_sample, dip_pvalue, dip_statistic
+from .clusterability import MIN_BOOTSTRAP, clusterability_sample, \
+    dip_pvalue, dip_statistic
 from .errors import OrdmedError, ParameterError
 from .exact import recovery_status, solve_enumeration
 from .formulations import build_bep, build_ot
@@ -57,6 +59,22 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}")
+    return value
+
+
+def _bootstrap_count(text: str) -> int:
+    value = int(text)
+    if value < MIN_BOOTSTRAP:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {MIN_BOOTSTRAP}, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordmed",
@@ -86,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", dest="json_lines",
                         help="emit JSON instead of plain text")
         if multi_instance:
-            sp.add_argument("--bootstrap", type=_positive_int, default=1000,
+            sp.add_argument("--bootstrap", type=_bootstrap_count, default=1000,
                             metavar="B", help="uniform resamples for the "
                             "p-value")
             sp.add_argument("--seed", type=_nonnegative_int, default=0,
@@ -102,14 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--formulation", choices=("bep", "ot"), default="bep",
                     help="LP shape: sorting rows (bep) or tail sums (ot)")
-    sp.add_argument("--closest-assignment", action="store_true",
-                    help="attach the optional closest-assignment rows")
 
     sp = sub.add_parser("certify", help="search a dual certificate at the optimum")
     common(sp)
     sp.add_argument("--strict", action="store_true",
                     help="demand strict inequalities by a positive margin")
-    sp.add_argument("--eps", type=float,
+    sp.add_argument("--eps", type=_positive_float,
                     help="strictness margin (default: 1e-6 * (1 + max distance))")
 
     sp = sub.add_parser("clusterability",
@@ -228,11 +244,8 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 
 def _cmd_relax(ns: argparse.Namespace) -> int:
     inst = _load_instance(ns)
-    if ns.formulation == "bep":
-        model = build_bep(inst, closest_assignment=ns.closest_assignment)
-    else:
-        model = build_ot(inst, closest_assignment=ns.closest_assignment)
-    report = recovery_status(inst, model=model)
+    build = build_bep if ns.formulation == "bep" else build_ot
+    report = recovery_status(inst, model=build(inst))
     _emit_pairs([("v_ip", report.v_ip), ("v_lp", report.v_lp),
                  ("gap_lp", report.gap_lp), ("recovered", report.recovered),
                  ("vertex_integral", report.vertex_integral)], ns)
@@ -279,6 +292,9 @@ def _cmd_clusterability(ns: argparse.Namespace) -> int:
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
+    if ns.p is not None and ns.p > ns.m:
+        raise ParameterError(f"--p {ns.p} exceeds --m {ns.m}; an instance "
+                             "opens at most m centers")
     if ns.generator == "ball":
         points, _ = generate_ball(ns.m, ns.clusters, ns.radius,
                                   ns.separation, dim=ns.dim, seed=ns.seed)

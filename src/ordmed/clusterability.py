@@ -13,6 +13,7 @@ from .instance import DistanceMatrix
 MDS_THRESHOLD = 60
 MDS_TOL = 1e-10
 MDS_MAX_ITER = 10**4
+MIN_BOOTSTRAP = 100  # fewest resamples dip_pvalue accepts
 HIGH = "High"
 LOW = "Low"
 MIDDLE = "Middle"
@@ -182,8 +183,8 @@ def dip_pvalue(sample, bootstrap: int = 1000, seed: int = 0) -> float:
     add-one correction: p = (1 + #{replicate dip >= observed}) / (bootstrap + 1).
     The seed must be non-negative.
     """
-    if bootstrap < 100:
-        raise ParameterError("bootstrap count must be at least 100")
+    if bootstrap < MIN_BOOTSTRAP:
+        raise ParameterError(f"bootstrap count must be at least {MIN_BOOTSTRAP}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     x = np.asarray(sample, dtype=float)

@@ -38,21 +38,6 @@ class DompModel:
 
 
 @dataclass(frozen=True)
-class ClosestAssignmentRow:
-    """One valid inequality forcing point i toward its nearest open centers.
-
-    Encodes y_coeffs . y + z_coeffs . z_i* <= rhs where z_coeffs applies to
-    point i's own assignment row only.
-    """
-
-    i: int
-    j: int
-    y_coeffs: dict[int, float]
-    z_coeffs: dict[int, float]
-    rhs: float
-
-
-@dataclass(frozen=True)
 class FractionalityReport:
     """How far the location/allocation block of an LP vector is from binary."""
 
@@ -91,19 +76,7 @@ def _location_allocation(name: str, inst: Instance):
     return lp, y, z
 
 
-def _attach_closest_assignment(lp: LinearProgram, rows: list[ClosestAssignmentRow],
-                               y: tuple[int, ...],
-                               z: tuple[tuple[int, ...], ...]) -> None:
-    for row in rows:
-        coeffs: dict[int, float] = {}
-        for jp, c in row.y_coeffs.items():
-            coeffs[y[jp]] = coeffs.get(y[jp], 0.0) + c
-        for jp, c in row.z_coeffs.items():
-            coeffs[z[row.i][jp]] = coeffs.get(z[row.i][jp], 0.0) + c
-        lp.add_row(coeffs, "<=", row.rhs, f"near_{row.i + 1}_{row.j + 1}")
-
-
-def build_bep(inst: Instance, *, closest_assignment: bool = False) -> DompModel:
+def build_bep(inst: Instance) -> DompModel:
     """Build the sorting-by-duals model over the location/allocation polytope.
 
     With mu = lam - lam_m, the run of equal mu > 0 ending at step s gets one
@@ -129,13 +102,11 @@ def build_bep(inst: Instance, *, closest_assignment: bool = False) -> DompModel:
             coeffs[u[i]] = 1.0
             coeffs[v[k]] = 1.0
             lp.add_row(coeffs, ">=", 0.0, f"sort_{i + 1}_{s + 1}")
-    if closest_assignment:
-        _attach_closest_assignment(lp, closest_assignment_rows(inst), y, z)
     return DompModel(lp=lp, tag=BEP, m=m, p=inst.p,
                      y=y, z=z, u=u, v=v)
 
 
-def build_ot(inst: Instance, *, closest_assignment: bool = False) -> DompModel:
+def build_ot(inst: Instance) -> DompModel:
     """Build the telescoped-threshold model over largest-sum linearizations.
 
     The sorted objective is sum_s deltas_s * (top-s sum). The top-m sum is
@@ -160,51 +131,8 @@ def build_ot(inst: Instance, *, closest_assignment: bool = False) -> DompModel:
             coeffs[q[i][k]] = 1.0
             coeffs[t[k]] = 1.0
             lp.add_row(coeffs, ">=", 0.0, f"tail_{i + 1}_{s + 1}")
-    if closest_assignment:
-        _attach_closest_assignment(lp, closest_assignment_rows(inst), y, z)
     return DompModel(lp=lp, tag=OT, m=m, p=inst.p,
                      y=y, z=z, t=t, q=q)
-
-
-def closest_assignment_rows(inst: Instance) -> list[ClosestAssignmentRow]:
-    """Valid inequalities pinning each point to its nearest open centers.
-
-    For each pair (i, j), with nearer = {l : d_il < d_ij} and
-    cap = min(p, |nearer|), the row reads
-
-        sum_{j' nearer, |nearer| - |nearer_j'| <= p} Q_ijj' z_ij'
-        + cap * sum_{j' : d_ij' >= d_ij} z_ij'
-        + sum_{j' nearer} y_j'  <=  cap,
-
-    where Q_ijj' = |nearer_j'| + min(0, p - |nearer|). These hold for every
-    feasible location/allocation pair and cut off allocations that skip an
-    open nearer center; they are redundant at optimality when all weights
-    are nonnegative, so builders leave them detached by default.
-    """
-    m = inst.m
-    p = inst.p
-    d = inst.dist.d
-    counts = np.array([[int((d[i] < d[i, j]).sum()) for j in range(m)]
-                       for i in range(m)])
-    rows: list[ClosestAssignmentRow] = []
-    for i in range(m):
-        for j in range(m):
-            cap = float(min(p, counts[i, j]))
-            y_coeffs: dict[int, float] = {}
-            z_coeffs: dict[int, float] = {}
-            for jp in range(m):
-                if d[i, jp] < d[i, j]:
-                    y_coeffs[jp] = 1.0
-                    if counts[i, j] - counts[i, jp] <= p:
-                        qc = float(counts[i, jp] + min(0, p - counts[i, j]))
-                        if qc != 0.0:
-                            z_coeffs[jp] = qc
-                else:
-                    if cap != 0.0:
-                        z_coeffs[jp] = cap
-            rows.append(ClosestAssignmentRow(i=i, j=j, y_coeffs=y_coeffs,
-                                             z_coeffs=z_coeffs, rhs=cap))
-    return rows
 
 
 def embed_integral(inst: Instance, sol: CenterSolution,

@@ -209,6 +209,14 @@ class TestResolveWeights:
         with pytest.raises(ParameterError):
             resolve_weights(f"file:{path}", 2)
 
+    def test_file_spec_names_a_non_numeric_token(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("1.0 abc 0.5\n")
+        with pytest.raises(ParameterError) as info:
+            resolve_weights(f"file:{path}", 3)
+        assert str(path) in str(info.value)
+        assert "'abc'" in str(info.value)
+
     @pytest.mark.parametrize("spec", ["ksum", "ksum:0", "ksum:9",
                                       "centdian:2", "centdian:x", "blah"])
     def test_bad_specs(self, spec):

@@ -113,15 +113,6 @@ class TestRelax:
         assert float(pairs(out)["v_lp"]) == pytest.approx(
             float(pairs(base)["v_lp"]), rel=1e-9)
 
-    def test_closest_assignment_tightens(self, capsys, t1_path):
-        plain = pairs(run(capsys, "relax", "--instance", t1_path,
-                          "--weights", "center", "--p", "1")[1])
-        cut = pairs(run(capsys, "relax", "--instance", t1_path,
-                        "--weights", "center", "--p", "1",
-                        "--closest-assignment")[1])
-        assert float(cut["v_lp"]) >= float(plain["v_lp"]) - 1e-9
-        assert float(cut["v_lp"]) <= float(cut["v_ip"]) + 1e-9
-
     def test_json_output(self, capsys, t1_path):
         code, out, _ = run(capsys, "relax", "--instance", t1_path,
                            "--weights", "median", "--p", "1", "--json")
@@ -195,6 +186,17 @@ class TestCertify:
         got = pairs(out)
         assert got["found"] == "true"
         assert got["strict"] == "true"
+
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+    def test_eps_must_be_finite_and_positive(self, capsys, t1_path, eps):
+        # a negative margin loosens the search rows, so the printed
+        # certificate would not hold
+        code, out, err = run(capsys, "certify", "--instance", t1_path,
+                             "--weights", "median", "--p", "1", "--strict",
+                             "--eps", eps)
+        assert code == 2
+        assert out == ""
+        assert "--eps" in err
 
 
 class TestClusterability:
@@ -274,6 +276,16 @@ class TestGenerate:
         assert first == second
         assert first != run(capsys, "generate", "ball", "--m", "10",
                             "--clusters", "2", "--sep", "5", "--seed", "5")[1]
+
+    def test_p_above_m_writes_no_file(self, capsys, tmp_path):
+        dest = tmp_path / "gp.txt"
+        code, out, err = run(capsys, "generate", "uniform", "--m", "3",
+                             "--p", "7", "-o", str(dest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "7" in err and "3" in err
+        assert not dest.exists()
 
 
 class TestExperiment:
@@ -390,10 +402,38 @@ class TestExitCodes:
         assert code == 2
         assert "--seed" in err
 
+    @pytest.mark.parametrize("sub", ["clusterability", "experiment"])
+    def test_bootstrap_below_the_floor_is_a_usage_error(self, capsys, t1_path,
+                                                         sub):
+        # below the floor dip_pvalue refuses, so experiment would print
+        # every dip cell blank
+        code, out, err = run(capsys, sub, "--instance", t1_path,
+                             "--bootstrap", "99")
+        assert code == 2
+        assert out == ""
+        assert "--bootstrap" in err and "100" in err
+
+    def test_weights_file_with_a_non_numeric_token(self, capsys, t1_path,
+                                                   tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("1 1 x 1 1\n")
+        code, out, err = run(capsys, "solve", "--instance", t1_path,
+                             "--weights", f"file:{path}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert str(path) in err and "'x'" in err
+
+    def test_closest_assignment_flag_is_gone(self, capsys, t1_path):
+        code, _, err = run(capsys, "relax", "--instance", t1_path,
+                           "--closest-assignment")
+        assert code == 2
+        assert "--closest-assignment" in err
+
     def test_clusterability_takes_no_weights(self, capsys, t1_path):
         # the dip diagnostics never read weights, so the flag is not offered
         code, _, err = run(capsys, "clusterability", "--instance", t1_path,
-                           "--bootstrap", "10", "--weights", "center")
+                           "--bootstrap", "100", "--weights", "center")
         assert code == 2
         assert "--weights" in err
 
@@ -402,7 +442,7 @@ HELP_FLAGS = {
     "solve": ["--instance", "--weights", "--subsample", "--output", "--json",
               "--p"],
     "relax": ["--instance", "--weights", "--subsample", "--output", "--json",
-              "--p", "--formulation", "--closest-assignment"],
+              "--p", "--formulation"],
     "certify": ["--instance", "--weights", "--subsample", "--output",
                 "--json", "--p", "--strict", "--eps"],
     "clusterability": ["--instance", "--subsample", "--output", "--json",

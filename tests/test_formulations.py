@@ -10,7 +10,6 @@ from ordmed import (
     build_bep,
     build_ot,
     closest_allocation,
-    closest_assignment_rows,
     data_path,
     embed_integral,
     floyd_warshall,
@@ -142,40 +141,6 @@ class TestModelShape:
         assert model.t == ()
         assert obj[model.z[2][4]] == pytest.approx(inst.dist.d[2, 4])
         assert obj[model.z[0][0]] == 0.0
-
-
-class TestClosestAssignmentRows:
-    def test_handworked_pair(self):
-        inst = planar_instance([[0.0], [2.0], [5.0]], make_weights("median", 3), 1)
-        rows = {(row.i, row.j): row for row in closest_assignment_rows(inst)}
-        row = rows[(0, 1)]
-        assert row.rhs == 1.0  # cap = min(p, |nearer|) = 1
-        assert row.y_coeffs == {0: 1.0}
-        assert 0 not in row.z_coeffs  # Q_{0,1,0} = 0 drops out
-        assert row.z_coeffs[1] == 1.0
-        assert row.z_coeffs[2] == 1.0
-
-    def test_strict_nearest_has_singleton_nearer_set(self):
-        inst = t1_instance(p=2)
-        d = inst.dist.d
-        for i in range(inst.m):
-            j = int(np.argsort(d[i])[1])  # nearest other point
-            nearer = {l for l in range(inst.m) if d[i, l] < d[i, j]}
-            assert nearer == {i}
-
-    def test_cap_never_exceeds_p(self):
-        rng = np.random.default_rng(2)
-        inst = random_instance(rng, 6, 2)
-        for row in closest_assignment_rows(inst):
-            assert row.rhs <= inst.p
-
-    def test_attaching_rows_keeps_relaxation_sandwich(self):
-        inst = t1_instance("center", p=1)
-        _, plain = lp_value(build_bep(inst))
-        _, cut = lp_value(build_bep(inst, closest_assignment=True))
-        v_ip = solve_enumeration(inst).value
-        assert cut >= plain - 1e-9
-        assert cut <= v_ip + 1e-9
 
 
 class TestEmbedding:
