@@ -3,8 +3,9 @@
 
 Writes instance files, the CSV report, and per-family performance profiles
 under --workdir, all through the ordmed command-line interface, so the
-script doubles as a usage example. Rerunning with the same arguments
-reproduces the report byte for byte.
+script doubles as a usage example. Only report.csv is byte-identical
+across reruns with the same arguments: the profile CSVs bin the wall-clock
+time_lp, so they differ from run to run.
 """
 
 import argparse

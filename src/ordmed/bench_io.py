@@ -312,15 +312,16 @@ def collection_labels(entries) -> list[tuple[str, str]]:
     return labels
 
 
-def _instance_profile(dist: DistanceMatrix, bootstrap: int, seed: int):
-    """Per-instance clusterability numbers; None on any domain failure."""
-    try:
-        sample = clusterability_sample(dist)
-        dip = dip_statistic(sample).dip
-        pval = dip_pvalue(sample, bootstrap=bootstrap, seed=seed)
-        return dip, pval
-    except OrdmedError:
-        return None, None
+def instance_profile(dist: DistanceMatrix, *, bootstrap: int, seed: int,
+                     mode: str = "auto") -> tuple[float, float]:
+    """(dip, dip p-value) of one instance's clusterability sample.
+
+    A batch bootstraps its instance idx with seed + idx, so equal inputs get
+    equal p-values from the clusterability and experiment commands.
+    """
+    sample = clusterability_sample(dist, mode=mode)
+    dip = dip_statistic(sample).dip
+    return dip, dip_pvalue(sample, bootstrap=bootstrap, seed=seed)
 
 
 def _run_cell(dist, points, spec, p):
@@ -366,8 +367,13 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
             name, dist, points = entry
         norm.append((str(name), dist, points))
 
-    profiles = [_instance_profile(dist, bootstrap, seed + idx)
-                for idx, (_, dist, _) in enumerate(norm)]
+    profiles = []
+    for idx, (_, dist, _) in enumerate(norm):
+        try:
+            profiles.append(instance_profile(dist, bootstrap=bootstrap,
+                                             seed=seed + idx))
+        except OrdmedError:
+            profiles.append((None, None))
     labels = collection_labels([(name, dip, pval) for (name, _, _), (dip, pval)
                                 in zip(norm, profiles)])
     shared = [  # the fields every row of one instance repeats

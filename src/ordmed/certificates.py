@@ -157,32 +157,30 @@ def search_certificate(inst: Instance, sol: CenterSolution, *,
     w = _point_weights(inst.weights, sigma)
     centers = list(sol.centers)
     lp = LinearProgram("certificate")
-    a_cols = [lp.add_free_variable(f"alpha_{i + 1}") for i in range(m)]
-    omega = lp.add_free_variable("omega", obj=1.0)
+    a_cols = [lp.add_free_variable() for _ in range(m)]
+    omega = lp.add_free_variable(obj=1.0)
     for j in centers:
         members = [i for i in range(m) if sol.assignment[i] == j]
         coeffs = {a_cols[i]: 1.0 for i in members}
         coeffs[omega] = -1.0
         rhs = float(sum(w[i] * d[i, j] for i in members))
-        lp.add_row(coeffs, "=", rhs, f"level_{j + 1}")
+        lp.add_row(coeffs, "=", rhs)
     for i in range(m):
         j = sol.assignment[i]
-        lp.add_row({a_cols[i]: 1.0}, ">=", float(w[i] * d[i, j]) + margin,
-                   f"member_{i + 1}")
+        lp.add_row({a_cols[i]: 1.0}, ">=", float(w[i] * d[i, j]) + margin)
         for jp in centers:
             if jp != j:
-                lp.add_row({a_cols[i]: 1.0}, "<=", float(w[i] * d[i, jp]) - margin,
-                           f"other_{i + 1}_{jp + 1}")
+                lp.add_row({a_cols[i]: 1.0}, "<=", float(w[i] * d[i, jp]) - margin)
     for i in range(m):
         if i in sol.centers:
             continue
-        s_cols = [lp.add_variable(f"s_{t + 1}_{i + 1}") for t in range(m)]
+        s_cols = [lp.add_variable() for _ in range(m)]
         for t in range(m):
             lp.add_row({s_cols[t]: 1.0, a_cols[t]: -1.0}, ">=",
-                       -float(w[t] * d[t, i]), f"surplus_{t + 1}_{i + 1}")
-        coeffs = {c: 1.0 for c in s_cols}
+                       -float(w[t] * d[t, i]))
+        coeffs = dict.fromkeys(s_cols, 1.0)
         coeffs[omega] = -1.0
-        lp.add_row(coeffs, "<=", -margin, f"cap_{i + 1}")
+        lp.add_row(coeffs, "<=", -margin)
     lp_sol = solve_lp(lp)
     if lp_sol.status == INFEASIBLE:
         return None, None

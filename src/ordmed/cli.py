@@ -20,12 +20,11 @@ import sys
 import numpy as np
 
 from .bench_io import collection_labels, floyd_warshall, format_csv, \
-    format_cell, generate_ball, generate_uniform, parse_pmed, \
-    parse_weight_spec, prefix_subsample, profile_series, resolve_weights, \
-    row_values, rows_to_csv, run_experiment
+    format_cell, generate_ball, generate_uniform, instance_profile, \
+    parse_pmed, parse_weight_spec, prefix_subsample, profile_series, \
+    resolve_weights, row_values, rows_to_csv, run_experiment
 from .certificates import search_certificate
-from .clusterability import MIN_BOOTSTRAP, clusterability_sample, \
-    dip_pvalue, dip_statistic
+from .clusterability import MIN_BOOTSTRAP
 from .errors import OrdmedError, ParameterError
 from .exact import recovery_status, solve_enumeration
 from .formulations import build_bep, build_ot
@@ -45,34 +44,33 @@ def _weight_spec(text: str) -> str:
     return text
 
 
+def _number(text: str, cast, ok, expected: str):
+    """text cast to a number that passes ok, else a usage error naming expected."""
+    try:
+        value = cast(text)
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+    return _number(text, int, lambda v: v >= 1, "a positive integer")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
+    return _number(text, int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and positive, got {text}")
-    return value
+    return _number(text, float, lambda v: math.isfinite(v) and v > 0,
+                   "a finite positive number")
 
 
 def _bootstrap_count(text: str) -> int:
-    value = int(text)
-    if value < MIN_BOOTSTRAP:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {MIN_BOOTSTRAP}, got {text}")
-    return value
+    return _number(text, int, lambda v: v >= MIN_BOOTSTRAP,
+                   f"an integer of at least {MIN_BOOTSTRAP}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="B", help="uniform resamples for the "
                             "p-value")
             sp.add_argument("--seed", type=_nonnegative_int, default=0,
-                            help="bootstrap seed")
+                            help="bootstrap seed; instance k (counting from "
+                                 "0) uses seed + k")
         else:
             sp.add_argument("--p", type=_positive_int, help="number of "
                             "centers (default: the file's declared p)")
@@ -275,12 +274,11 @@ def _cmd_clusterability(ns: argparse.Namespace) -> int:
     if not ns.instance:
         raise OrdmedError("clusterability needs at least one --instance")
     entries = []
-    for path in ns.instance:
-        sample = clusterability_sample(_read(path, ns.subsample)[0],
-                                       mode=ns.sample_mode)
-        dip = dip_statistic(sample).dip
-        pval = dip_pvalue(sample, bootstrap=ns.bootstrap, seed=ns.seed)
-        entries.append((path, dip, pval))
+    for k, path in enumerate(ns.instance):
+        dist = _read(path, ns.subsample)[0]
+        entries.append((path, *instance_profile(
+            dist, bootstrap=ns.bootstrap, seed=ns.seed + k,
+            mode=ns.sample_mode)))
     rows = [entry + labels
             for entry, labels in zip(entries, collection_labels(entries))]
     if ns.json_lines:

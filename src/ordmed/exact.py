@@ -130,7 +130,7 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
         best_solution=best,
         gap_lp=gap,
         recovered=recovered,
-        vertex_integral=fractionality_report(model, sol).integral,
+        vertex_integral=fractionality_report(model, sol.x).integral,
         time_enumeration=time_enumeration,
         time_lp=time_lp,
     )

@@ -7,34 +7,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .instance import CenterSolution, Instance
-from .lp_core import INTEGRALITY_TOL, LinearProgram, LpSolution
+from .instance import CenterSolution, Instance, _frozen_array
+from .lp_core import INTEGRALITY_TOL, LinearProgram
 from .ordered_median import sorting_permutation
 
-BEP = "BEP"
-OT = "OT"
 
-
-@dataclass(frozen=True)
+# compared and hashed by identity, as its LinearProgram is; arrays have no bool ==
+@dataclass(frozen=True, eq=False)
 class DompModel:
-    """A built model plus maps from named variables to LP column indices.
+    """A built model plus its LP column indices as read-only int arrays.
 
-    Exactly one of the (u, v) and (t, q) pairs is populated, matching the
-    formulation tag; v, t and each q[i] hold one column per weight step (see
-    _steps), and u is empty when there is no step. All maps together cover
-    every LP column once.
+    y (m,) and z (m, m) hold the location and allocation columns. A BEP
+    model (lp.name "bep") fills u (m,) and v (S,), an OT model (lp.name
+    "ot") fills t (S,) and q (m, S), and the other pair stays None. S counts
+    the weight steps (see _steps); without a step u is empty too. All arrays
+    together cover every LP column once.
     """
 
     lp: LinearProgram
-    tag: str
-    m: int
     p: int
-    y: tuple[int, ...]
-    z: tuple[tuple[int, ...], ...]
-    u: tuple[int, ...] | None = None
-    v: tuple[int, ...] | None = None
-    t: tuple[int, ...] | None = None
-    q: tuple[tuple[int, ...], ...] | None = None
+    y: np.ndarray
+    z: np.ndarray
+    u: np.ndarray | None = None
+    v: np.ndarray | None = None
+    t: np.ndarray | None = None
+    q: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -61,19 +58,15 @@ def _location_allocation(name: str, inst: Instance):
     m = inst.m
     cost = inst.weights.lam[-1] * inst.dist.d
     lp = LinearProgram(name)
-    y = tuple(lp.add_variable(f"y_{j + 1}", 0.0, upper=1.0) for j in range(m))
-    z = tuple(
-        tuple(lp.add_variable(f"z_{i + 1}_{j + 1}", float(cost[i, j]), upper=1.0)
-              for j in range(m))
-        for i in range(m)
-    )
-    for i in range(m):
-        lp.add_row({z[i][j]: 1.0 for j in range(m)}, "=", 1.0, f"assign_{i + 1}")
-    for i in range(m):
-        for j in range(m):
-            lp.add_row({z[i][j]: 1.0, y[j]: -1.0}, "<=", 0.0, f"zy_{i + 1}_{j + 1}")
-    lp.add_row({y[j]: 1.0 for j in range(m)}, "=", float(inst.p), "card")
-    return lp, y, z
+    y = [lp.add_variable(0.0, upper=1.0) for _ in range(m)]
+    z = [[lp.add_variable(c, upper=1.0) for c in row] for row in cost.tolist()]
+    for zi in z:
+        lp.add_row(dict.fromkeys(zi, 1.0), "=", 1.0)
+    for zi in z:
+        for zij, yj in zip(zi, y):
+            lp.add_row({zij: 1.0, yj: -1.0}, "<=", 0.0)
+    lp.add_row(dict.fromkeys(y, 1.0), "=", float(inst.p))
+    return lp, _frozen_array(y, np.intp), _frozen_array(z, np.intp)
 
 
 def build_bep(inst: Instance) -> DompModel:
@@ -87,23 +80,20 @@ def build_bep(inst: Instance) -> DompModel:
     shifting (u, v) by min u makes u >= 0, so the zero tail needs v_r = 0
     and no rows. Without a step, u and v are empty: the p-median LP.
     """
-    m = inst.m
     lam = inst.weights.lam
-    d = inst.dist.d
     steps = _steps(inst)
     lp, y, z = _location_allocation("bep", inst)
-    u = tuple(lp.add_variable(f"u_{i + 1}", 1.0) for i in range(m)) if steps.size else ()
-    runs = np.diff(steps, prepend=-1)
-    v = tuple(lp.add_free_variable(f"v_{s + 1}", float(n))
-              for s, n in zip(steps, runs))
-    for i in range(m):
-        for k, s in enumerate(steps):
-            coeffs = {z[i][j]: -(lam[s] - lam[-1]) * d[i, j] for j in range(m)}
-            coeffs[u[i]] = 1.0
-            coeffs[v[k]] = 1.0
-            lp.add_row(coeffs, ">=", 0.0, f"sort_{i + 1}_{s + 1}")
-    return DompModel(lp=lp, tag=BEP, m=m, p=inst.p,
-                     y=y, z=z, u=u, v=v)
+    u = [lp.add_variable(1.0) for _ in range(inst.m if steps.size else 0)]
+    v = [lp.add_free_variable(n) for n in np.diff(steps, prepend=-1).tolist()]
+    mu = lam[steps] - lam[-1]
+    for i, (zi, ui) in enumerate(zip(z.tolist(), u)):
+        for mu_s, vs in zip(mu, v):
+            coeffs = dict(zip(zi, (-mu_s * inst.dist.d[i]).tolist()))
+            coeffs[ui] = 1.0
+            coeffs[vs] = 1.0
+            lp.add_row(coeffs, ">=", 0.0)
+    return DompModel(lp=lp, p=inst.p, y=y, z=z, u=_frozen_array(u, np.intp),
+                     v=_frozen_array(v, np.intp))
 
 
 def build_ot(inst: Instance) -> DompModel:
@@ -114,25 +104,20 @@ def build_ot(inst: Instance) -> DompModel:
     deltas_s * (s * t_s + sum_i q_is) and rows q_is + t_s - sum_j d_ij z_ij
     >= 0. A zero delta's block costs nothing and holds for every z.
     """
-    m = inst.m
-    deltas = inst.weights.deltas()
-    d = inst.dist.d
     steps = _steps(inst)
+    deltas = inst.weights.deltas()[steps]
     lp, y, z = _location_allocation("ot", inst)
-    t = tuple(lp.add_free_variable(f"t_{s + 1}", float(deltas[s] * (s + 1)))
-              for s in steps)
-    q = tuple(
-        tuple(lp.add_variable(f"q_{i + 1}_{s + 1}", float(deltas[s])) for s in steps)
-        for i in range(m)
-    )
-    for i in range(m):
-        for k, s in enumerate(steps):
-            coeffs = {z[i][j]: -d[i, j] for j in range(m)}
-            coeffs[q[i][k]] = 1.0
-            coeffs[t[k]] = 1.0
-            lp.add_row(coeffs, ">=", 0.0, f"tail_{i + 1}_{s + 1}")
-    return DompModel(lp=lp, tag=OT, m=m, p=inst.p,
-                     y=y, z=z, t=t, q=q)
+    t = [lp.add_free_variable(c) for c in (deltas * (steps + 1)).tolist()]
+    q = [[lp.add_variable(c) for c in deltas.tolist()] for _ in range(inst.m)]
+    for i, (zi, qi) in enumerate(zip(z.tolist(), q)):
+        tail = dict(zip(zi, (-inst.dist.d[i]).tolist()))
+        for qis, ts in zip(qi, t):
+            coeffs = dict(tail)
+            coeffs[qis] = 1.0
+            coeffs[ts] = 1.0
+            lp.add_row(coeffs, ">=", 0.0)
+    return DompModel(lp=lp, p=inst.p, y=y, z=z, t=_frozen_array(t, np.intp),
+                     q=_frozen_array(q, np.intp))
 
 
 def embed_integral(inst: Instance, sol: CenterSolution,
@@ -148,18 +133,16 @@ def embed_integral(inst: Instance, sol: CenterSolution,
     by a telescoping comparison against the monotone a), and the objective
     collapses to sum_r a_r * (lam_m + mu_r), the ordered median value.
     """
-    if model.tag != BEP:
+    if model.lp.name != "bep":
         raise ParameterError("integral embeddings are defined for the BEP model")
-    if model.m != inst.m or model.p != inst.p:
+    if len(model.y) != inst.m or model.p != inst.p:
         raise ParameterError("model was built from a different instance")
     m = inst.m
     lam = inst.weights.lam
     mu = lam - lam[-1]
     x = np.zeros(model.lp.n_vars)
-    for j in sol.centers:
-        x[model.y[j]] = 1.0
-    for i in range(m):
-        x[model.z[i][sol.assignment[i]]] = 1.0
+    x[model.y[list(sol.centers)]] = 1.0
+    x[model.z[np.arange(m), list(sol.assignment)]] = 1.0
     order = list(sorting_permutation(sol.distances).order)
     a = sol.distances[order]
     v_sorted = np.zeros(m)
@@ -167,9 +150,9 @@ def embed_integral(inst: Instance, sol: CenterSolution,
         v_sorted[r] = v_sorted[r + 1] + a[r + 1] * (mu[r] - mu[r + 1])
     u = np.empty(m)
     u[order] = a * mu - v_sorted
-    if model.u:
-        x[list(model.u)] = u
-        x[list(model.v)] = v_sorted[_steps(inst)]
+    if model.u.size:
+        x[model.u] = u
+        x[model.v] = v_sorted[_steps(inst)]
     scale = 1e-9 * (1.0 + float(a[0]) * (1.0 + float(lam[0])))
     # the tail column r = m (mu = v = 0) reads u >= 0
     worst = float((u[:, None] + v_sorted - np.outer(sol.distances, mu)).min())
@@ -181,12 +164,13 @@ def embed_integral(inst: Instance, sol: CenterSolution,
     return x
 
 
-def fractionality_report(model: DompModel, sol) -> FractionalityReport:
-    """Distance of the (y, z) block from binary, with fractional y indices."""
-    x = sol.x if isinstance(sol, LpSolution) else np.asarray(sol, dtype=float)
-    y_vals = x[list(model.y)]
-    z_vals = np.array([[x[model.z[i][j]] for j in range(model.m)]
-                       for i in range(model.m)])
+def fractionality_report(model: DompModel, x: np.ndarray) -> FractionalityReport:
+    """Distance of the (y, z) block from binary, with fractional y indices.
+
+    x is a full LP vector, such as LpSolution.x or an embed_integral result.
+    """
+    y_vals = x[model.y]
+    z_vals = x[model.z]
     y_frac = np.abs(y_vals - np.round(y_vals))
     z_frac = np.abs(z_vals - np.round(z_vals))
     fractional = tuple(int(j) for j in np.nonzero(y_frac > INTEGRALITY_TOL)[0])

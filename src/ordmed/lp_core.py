@@ -41,16 +41,18 @@ RESIDUAL_TOL = 1e-9  # largest check_solution residual a verdict may rest on
 
 
 class LinearProgram:
-    """Builder for a minimization LP with named variables and rows."""
+    """Builder for a minimization LP: columns and rows are plain indices.
+
+    name labels the model (for example "bep", "ot" or "certificate"); a
+    column or row carries no name of its own.
+    """
 
     def __init__(self, name: str = "lp"):
         self.name = name
         self.obj: list[float] = []
         self.lower: list[float] = []
         self.upper: list[float] = []
-        self.var_names: list[str] = []
         self.rows: list[tuple[dict[int, float], str, float]] = []
-        self.row_names: list[str] = []
 
     @property
     def n_vars(self) -> int:
@@ -60,38 +62,34 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def add_variable(self, name: str | None = None, obj: float = 0.0,
-                     lower: float = 0.0, upper: float = math.inf) -> int:
+    def add_variable(self, obj: float = 0.0, lower: float = 0.0,
+                     upper: float = math.inf) -> int:
         if not (lower <= upper):
             raise ParameterError(f"variable bounds [{lower}, {upper}] are empty")
         if math.isinf(lower) and lower < 0 and math.isfinite(upper):
             raise ParameterError("free variables may not carry a finite upper bound")
-        j = len(self.obj)
         self.obj.append(float(obj))
         self.lower.append(float(lower))
         self.upper.append(float(upper))
-        self.var_names.append(name if name is not None else f"x{j}")
-        return j
+        return len(self.obj) - 1
 
-    def add_free_variable(self, name: str | None = None, obj: float = 0.0) -> int:
-        return self.add_variable(name, obj, lower=-math.inf)
+    def add_free_variable(self, obj: float = 0.0) -> int:
+        return self.add_variable(obj, lower=-math.inf)
 
-    def add_row(self, coeffs, rel: str, rhs: float, name: str | None = None) -> int:
+    def add_row(self, coeffs, rel: str, rhs: float) -> int:
         """Add a row; coeffs is a {var index: coefficient} map or pair iterable."""
         if rel not in ("<=", "=", ">="):
             raise ParameterError(f"relation must be <=, =, or >=, got {rel!r}")
         if not math.isfinite(rhs):
             raise ParameterError("row rhs must be finite")
-        cmap = dict(coeffs.items()) if isinstance(coeffs, dict) else dict(coeffs)
+        cmap = dict(coeffs)
         for j, a in cmap.items():
             if not (0 <= j < self.n_vars):
                 raise ParameterError(f"row references unknown variable {j}")
             if not math.isfinite(a):
                 raise ParameterError("row coefficients must be finite")
-        i = len(self.rows)
         self.rows.append((cmap, rel, float(rhs)))
-        self.row_names.append(name if name is not None else f"r{i}")
-        return i
+        return len(self.rows) - 1
 
     def dense(self) -> tuple[np.ndarray, list[str], np.ndarray]:
         """Rows as (A, relations, b) with A dense of shape (n_rows, n_vars)."""

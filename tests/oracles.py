@@ -75,11 +75,10 @@ def full_bep_lp(inst):
 
     m, lam, d = inst.m, inst.weights.lam, inst.dist.d
     lp = LinearProgram("full_bep")
-    y = [lp.add_variable(f"y_{j}", 0.0, upper=1.0) for j in range(m)]
-    z = [[lp.add_variable(f"z_{i}_{j}", 0.0, upper=1.0) for j in range(m)]
-         for i in range(m)]
-    u = [lp.add_free_variable(f"u_{i}", 1.0) for i in range(m)]
-    v = [lp.add_free_variable(f"v_{r}", 1.0) for r in range(m)]
+    y = [lp.add_variable(0.0, upper=1.0) for _ in range(m)]
+    z = [[lp.add_variable(0.0, upper=1.0) for _ in range(m)] for _ in range(m)]
+    u = [lp.add_free_variable(1.0) for _ in range(m)]
+    v = [lp.add_free_variable(1.0) for _ in range(m)]
     for i in range(m):
         lp.add_row({z[i][j]: 1.0 for j in range(m)}, "=", 1.0)
         for j in range(m):

@@ -250,6 +250,25 @@ class TestClusterability:
         assert code == 0
         assert out.count("\n") == 2
 
+    def test_p_values_match_the_experiment(self, capsys, tmp_path):
+        # both commands bootstrap instance k with seed + k
+        paths = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+        assert main(["generate", "ball", "--m", "10", "--clusters", "3",
+                     "--radius", "0.1", "--sep", "1", "--seed", "3",
+                     "-o", paths[0]]) == 0
+        assert main(["generate", "uniform", "--m", "10", "--seed", "4",
+                     "-o", paths[1]]) == 0
+        flags = ["--instance", paths[0], "--instance", paths[1],
+                 "--bootstrap", "200", "--seed", "5"]
+        code, out, _ = run(capsys, "clusterability", *flags)
+        assert code == 0
+        clus = [row["dip_pvalue"] for row in csv.DictReader(io.StringIO(out))]
+        code, out, _ = run(capsys, "experiment", *flags, "--p", "2")
+        assert code == 0
+        expt = [row["dip_pvalue"] for row in csv.DictReader(io.StringIO(out))]
+        assert clus == expt
+        assert clus[0] != clus[1]
+
 
 class TestGenerate:
     def test_chain_recovers(self, capsys, ball_path):
@@ -412,6 +431,23 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "--bootstrap" in err and "100" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["generate", "uniform", "--m", "x"], "a positive integer"),
+        (["generate", "uniform", "--m", "5", "--seed", "x"],
+         "a non-negative integer"),
+        (["certify", "--instance", "{t1}", "--eps", "x"],
+         "a finite positive number"),
+        (["clusterability", "--instance", "{t1}", "--bootstrap", "abc"],
+         "an integer of at least 100"),
+    ])
+    def test_unparsable_number_names_the_expected_value(self, capsys, t1_path,
+                                                        argv, expected):
+        code, out, err = run(capsys, *[a.format(t1=t1_path) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert f"must be {expected}, got '{argv[-1]}'" in err
+        assert "invalid" not in err
 
     def test_weights_file_with_a_non_numeric_token(self, capsys, t1_path,
                                                    tmp_path):

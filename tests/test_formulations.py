@@ -24,7 +24,6 @@ from ordmed import (
     solve_enumeration,
     solve_lp,
 )
-from ordmed.formulations import BEP, OT
 
 from helpers import planar_instance, random_instance, random_points, t1_instance
 from oracles import full_bep_lp
@@ -59,7 +58,7 @@ class TestModelShape:
         m = 5
         for inst, S in shape_cases():
             model = build_bep(inst)
-            assert model.tag == BEP
+            assert model.lp.name == "bep"
             assert len(sorting_steps(inst.weights.lam)) == S
             assert model.lp.n_rows == m + m * m + 1 + m * S
             assert model.lp.n_vars == m + m * m + (m + S if S else 0)
@@ -69,7 +68,7 @@ class TestModelShape:
         m = 5
         for inst, S in shape_cases():
             model = build_ot(inst)
-            assert model.tag == OT
+            assert model.lp.name == "ot"
             assert model.lp.n_rows == (m + m * m + 1) + m * S
             assert model.lp.n_vars == m + m * m + S + m * S
 
@@ -138,7 +137,7 @@ class TestModelShape:
         inst = t1_instance("median", p=2)
         model = build_ot(inst)
         obj = np.array(model.lp.obj)
-        assert model.t == ()
+        assert model.t.size == 0
         assert obj[model.z[2][4]] == pytest.approx(inst.dist.d[2, 4])
         assert obj[model.z[0][0]] == 0.0
 
@@ -198,6 +197,14 @@ class TestEmbedding:
         sol = closest_allocation(inst.dist, (2,), inst.weights)
         with pytest.raises(ParameterError):
             embed_integral(inst, sol, build_ot(inst))
+
+    @pytest.mark.parametrize("m, p", [(4, 1), (5, 2)])
+    def test_model_of_another_instance_rejected(self, m, p):
+        inst = t1_instance("median", p=1)
+        sol = closest_allocation(inst.dist, (2,), inst.weights)
+        other = random_instance(np.random.default_rng(0), m, p)
+        with pytest.raises(ParameterError, match="different instance"):
+            embed_integral(inst, sol, build_bep(other))
 
 
 class TestFractionalityReport:

@@ -24,7 +24,7 @@ from oracles import lp_vertex_oracle
 
 def single_upper_bound_lp():
     lp = LinearProgram("box")
-    x = lp.add_variable("x", obj=-1.0)
+    x = lp.add_variable(obj=-1.0)
     lp.add_row({x: 1.0}, "<=", 3.0)
     return lp
 
@@ -39,8 +39,8 @@ class TestStatuses:
 
     def test_equality_vertex(self):
         lp = LinearProgram()
-        x = lp.add_variable("x", obj=1.0)
-        y = lp.add_variable("y", obj=1.0)
+        x = lp.add_variable(obj=1.0)
+        y = lp.add_variable(obj=1.0)
         lp.add_row({x: 1.0, y: 1.0}, "=", 1.0)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
@@ -49,7 +49,7 @@ class TestStatuses:
 
     def test_infeasible(self):
         lp = LinearProgram()
-        x = lp.add_variable("x")
+        x = lp.add_variable()
         lp.add_row({x: 1.0}, "<=", -1.0)
         sol = solve_lp(lp)
         assert sol.status == INFEASIBLE
@@ -57,13 +57,13 @@ class TestStatuses:
 
     def test_unbounded(self):
         lp = LinearProgram()
-        lp.add_variable("x", obj=-1.0)
+        lp.add_variable(obj=-1.0)
         sol = solve_lp(lp)
         assert sol.status == UNBOUNDED
 
     def test_variable_upper_bound(self):
         lp = LinearProgram()
-        lp.add_variable("x", obj=-1.0, upper=2.5)
+        lp.add_variable(obj=-1.0, upper=2.5)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.value == pytest.approx(-2.5)
@@ -72,7 +72,7 @@ class TestStatuses:
 
     def test_free_variable_recombination(self):
         lp = LinearProgram()
-        x = lp.add_free_variable("x", obj=1.0)
+        x = lp.add_free_variable(obj=1.0)
         lp.add_row({x: 1.0}, ">=", -5.0)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
@@ -81,7 +81,7 @@ class TestStatuses:
 
     def test_equality_dual(self):
         lp = LinearProgram()
-        x = lp.add_variable("x", obj=-1.0)
+        x = lp.add_variable(obj=-1.0)
         lp.add_row({x: 1.0}, "=", 2.0)
         sol = solve_lp(lp)
         assert sol.x[0] == pytest.approx(2.0)
@@ -89,13 +89,13 @@ class TestStatuses:
 
     def test_bad_relation_rejected(self):
         lp = LinearProgram()
-        lp.add_variable("x")
+        lp.add_variable()
         with pytest.raises(ParameterError):
             lp.add_row({0: 1.0}, "<", 1.0)
 
     def test_unknown_variable_rejected(self):
         lp = LinearProgram()
-        lp.add_variable("x")
+        lp.add_variable()
         with pytest.raises(ParameterError):
             lp.add_row({3: 1.0}, "<=", 1.0)
 
@@ -126,7 +126,7 @@ class TestResidualReport:
     @staticmethod
     def report(lower, rows, x, y, mu):
         lp = LinearProgram()
-        lp.add_variable("x", obj=1.0, lower=lower)
+        lp.add_variable(obj=1.0, lower=lower)
         for coef, rel, rhs in rows:
             lp.add_row({0: coef}, rel, rhs)
         sol = LpSolution(OPTIMAL, x=np.array([x]), y=np.array(y),
