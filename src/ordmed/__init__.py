@@ -8,8 +8,8 @@ clusterability diagnostics, benchmark ingestion, and a batch harness.
 
 from .bench_io import (EdgeGraph, ExperimentRow, data_path, floyd_warshall,
                        generate_ball, generate_uniform, parse_pmed,
-                       prefix_subsample, profile_series, resolve_weights,
-                       rows_to_csv, run_experiment)
+                       prefix_subsample, profile_series, rows_to_csv,
+                       run_experiment)
 from .certificates import (MEDIAN_SINGLE_RECOVERS, NEVER_RECOVERS, UNKNOWN,
                            DualCertificate, CertificateVerdict, Prediction,
                            check_single_center, conic_combine,
@@ -28,12 +28,11 @@ from .formulations import (DompModel, FractionalityReport, build_bep,
 from .instance import (CenterSolution, DistanceMatrix, Instance, PointSet,
                        ValidationReport, WeightClass, WeightVector,
                        classify_weights, fixture_t1, is_free_of_equidistance,
-                       make_weights, read_instance, restrict_instance,
+                       read_instance, resolve_weights, restrict_instance,
                        validate_metric, write_instance)
 from .lp_core import (LinearProgram, LpSolution, ResidualReport,
                       check_solution, solve_lp)
 from .ordered_median import (SortPermutation, closest_allocation, om_evaluate,
-                             om_max_perm_bruteforce, om_telescoped,
-                             sorting_permutation, subadditivity_gap)
+                             om_telescoped, sorting_permutation)
 
 __version__ = "0.1.0"

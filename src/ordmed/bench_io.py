@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
@@ -21,8 +20,8 @@ from .clusterability import clusterability_sample, dip_pvalue, dip_statistic, \
     classify_collection
 from .errors import OrdmedError, ParameterError, ParseError
 from .exact import recovery_status
-from .instance import DistanceMatrix, Instance, PointSet, WeightVector, \
-    classify_weights, is_free_of_equidistance, make_weights
+from .instance import DistanceMatrix, Instance, PointSet, classify_weights, \
+    is_free_of_equidistance, parse_weight_spec, resolve_weights
 
 PLACEMENT_CAP = 10**5
 PROFILE_POINTS = 50
@@ -203,66 +202,6 @@ def data_path(name: str):
     return resources.files("ordmed").joinpath("data", name)
 
 
-def parse_weight_spec(spec: str) -> tuple[str, int | float | str | None]:
-    """Split a weight spec into its family and parameter, checking what needs no m.
-
-    Grammar: `median` | `center` | `ksum:K` | `centdian:G` | `file:PATH`,
-    blanks around either part ignored. The parameter is None for median and
-    center, an int or "auto" for ksum, a float for centdian and the path for
-    file; checks against m and reading the file wait for resolve_weights.
-    """
-    name, _, arg = spec.partition(":")
-    name = name.strip()
-    arg = arg.strip()
-    if name == "median" or name == "center":
-        if arg:
-            raise ParameterError(f"{name} takes no parameter, got {spec!r}")
-        return name, None
-    if name == "ksum":
-        try:
-            return name, arg if arg == "auto" else int(arg)
-        except ValueError:
-            raise ParameterError(
-                f"ksum parameter must be an integer or 'auto', got {spec!r}"
-            ) from None
-    if name == "centdian":
-        try:
-            return name, float(arg)
-        except ValueError:
-            raise ParameterError(
-                f"centdian parameter must be a number, got {spec!r}") from None
-    if name == "file":
-        if not arg:
-            raise ParameterError("file spec needs a path, e.g. file:weights.txt")
-        return name, arg
-    raise ParameterError(
-        f"unknown weight spec {spec!r}; use median | center | ksum:K | "
-        "centdian:G | file:PATH")
-
-
-def resolve_weights(spec: str, m: int) -> WeightVector:
-    """Build the weight vector a spec string names, at length m.
-
-    See parse_weight_spec for the grammar. `ksum:auto` picks
-    k = ceil(m / 4), scaling the head length with the effective instance size.
-    """
-    name, arg = parse_weight_spec(spec)
-    if name == "ksum":
-        k = max(1, math.ceil(m / 4)) if arg == "auto" else arg
-        return make_weights(name, m, k=k)
-    if name == "centdian":
-        return make_weights(name, m, gamma=arg)
-    if name == "file":
-        with open(arg, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError as exc:
-            raise ParameterError(f"{arg}: {exc}") from None
-        return make_weights("explicit", m, values=values)
-    return make_weights(name, m)
-
-
 @dataclass(frozen=True)
 class ExperimentRow:
     """One harness cell: an instance solved under one weight family and p.
@@ -351,7 +290,8 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
     instances: sequence of (name, DistanceMatrix | Instance-like) pairs; a
     pair may also carry (name, dist, points) to keep coordinates. families:
     weight spec strings for resolve_weights. Cell failures are caught and
-    recorded in-row; the batch always completes. Rows come back in input
+    recorded in-row, under the spec's family name (blank when the spec does
+    not parse); the batch always completes. Rows come back in input
     order (instance, then family, then p). Instance idx bootstraps its dip
     p-value with seed + idx; where its dip cannot be computed (a negative
     seed, say) the dip columns stay empty. Clusterability labels are
@@ -384,10 +324,12 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
         in zip(norm, profiles, labels)]
 
     def solve(idx, name, dist, points, spec, p):
+        family = ""
         try:
+            family = parse_weight_spec(spec)[0]
             cell = _run_cell(dist, points, spec, p)
         except Exception as exc:  # per-row fault isolation, batch never dies
-            cell = {"family": spec.partition(":")[0],
+            cell = {"family": family,
                     "error": f"{type(exc).__name__}: {exc}".splitlines()[0]}
         return ExperimentRow(instance=name, m=dist.m, p=p, **shared[idx], **cell)
 

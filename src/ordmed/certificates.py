@@ -28,7 +28,7 @@ def strictness_margin(dist) -> float:
     return 1e-6 * (1.0 + float(d.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificate:
     """A contribution certificate: point budgets alpha, center level omega.
 

@@ -21,16 +21,16 @@ import numpy as np
 
 from .bench_io import collection_labels, floyd_warshall, format_csv, \
     format_cell, generate_ball, generate_uniform, instance_profile, \
-    parse_pmed, parse_weight_spec, prefix_subsample, profile_series, \
-    resolve_weights, row_values, rows_to_csv, run_experiment
+    parse_pmed, prefix_subsample, profile_series, row_values, rows_to_csv, \
+    run_experiment
 from .certificates import search_certificate
 from .clusterability import MIN_BOOTSTRAP
 from .errors import OrdmedError, ParameterError
 from .exact import recovery_status, solve_enumeration
 from .formulations import build_bep, build_ot
-from .instance import Instance, PointSet, read_instance, write_instance
+from .instance import WEIGHT_GRAMMAR, Instance, PointSet, parse_weight_spec, \
+    read_instance, resolve_weights, write_instance
 
-_WEIGHT_GRAMMAR = "median | center | ksum:K | centdian:G | file:PATH"
 _CLUSTERABILITY_HEADER = ("instance", "dip", "dip_pvalue", "label_dip",
                           "label_pvalue")
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="instance file: matrix format `m p` or "
                                  "coordinate format `m n p`")
             sp.add_argument("--weights", type=_weight_spec, metavar="SPEC",
-                            help=f"weight family spec: {_WEIGHT_GRAMMAR} "
+                            help=f"weight family spec: {WEIGHT_GRAMMAR} "
                                  "(default: weights stored in the file, else "
                                  "median)")
         sp.add_argument("--subsample", type=_positive_int, metavar="M",
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "all-pairs shortest paths")
     sp.add_argument("--weights", type=_weight_spec, action="append",
                     default=[], metavar="SPEC",
-                    help=f"weight family spec, repeatable: {_WEIGHT_GRAMMAR} "
+                    help=f"weight family spec, repeatable: {WEIGHT_GRAMMAR} "
                          "(default: median)")
     sp.add_argument("--p", type=_positive_int, action="append", default=[],
                     help="center count, repeatable (default: 2)")

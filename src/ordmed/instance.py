@@ -1,8 +1,11 @@
 """Input data model: distance matrices, weight vectors, instances, solutions.
 
 Everything here is immutable after construction and safe to share across
-threads. Metric validity (symmetry, zero diagonal, triangle inequality) is
-checked explicitly through :func:`validate_metric`, never assumed silently.
+threads; the classes that hold arrays compare and hash by identity, since
+an array has no single truth value under ==. Weight families are named by
+spec strings only (WEIGHT_GRAMMAR). Metric validity (symmetry, zero
+diagonal, triangle inequality) is checked explicitly through
+:func:`validate_metric`, never assumed silently.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Square matrix of pairwise costs d[i][j].
 
@@ -51,7 +54,7 @@ class DistanceMatrix:
         return self.d[iu]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """Points in n-dimensional real space; rows of coords are points."""
 
@@ -82,7 +85,7 @@ class PointSet:
         return DistanceMatrix(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Sorting weights applied to the non-increasingly sorted cost vector."""
 
@@ -145,7 +148,7 @@ class Instance:
         return self.dist.m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenterSolution:
     """p centers, nearest-center assignment, per-point costs, objective value."""
 
@@ -254,44 +257,82 @@ def is_free_of_equidistance(dist: DistanceMatrix, tol: float | None = None) -> b
     return bool(np.min(np.diff(s)) > tol)
 
 
-_FAMILIES = ("median", "center", "ksum", "centdian", "explicit")
+WEIGHT_GRAMMAR = "median | center | ksum:K | centdian:G | file:PATH"
 
 
-def make_weights(kind: str, m: int, *, k: int | None = None,
-                 gamma: float | None = None, values=None) -> WeightVector:
-    """Build one of the named weight families of length m.
+def parse_weight_spec(spec: str) -> tuple[str, int | float | str | None]:
+    """Split a weight spec into its family and parameter, checking what needs no m.
 
-    median -> (1,...,1); center -> (1,0,...,0); ksum -> k ones then zeros;
-    centdian -> (1, gamma, ..., gamma); explicit -> validated copy of values.
+    Grammar: WEIGHT_GRAMMAR, blanks around either part ignored. The
+    parameter is None for median and center, an int or "auto" for ksum, a
+    float for centdian and the path for file; checks against m and reading
+    the file wait for resolve_weights.
     """
+    name, _, arg = spec.partition(":")
+    name = name.strip()
+    arg = arg.strip()
+    if name == "median" or name == "center":
+        if arg:
+            raise ParameterError(f"{name} takes no parameter, got {spec!r}")
+        return name, None
+    if name == "ksum":
+        try:
+            return name, arg if arg == "auto" else int(arg)
+        except ValueError:
+            raise ParameterError(
+                f"ksum parameter must be an integer or 'auto', got {spec!r}"
+            ) from None
+    if name == "centdian":
+        try:
+            return name, float(arg)
+        except ValueError:
+            raise ParameterError(
+                f"centdian parameter must be a number, got {spec!r}") from None
+    if name == "file":
+        if not arg:
+            raise ParameterError("file spec needs a path, e.g. file:weights.txt")
+        return name, arg
+    raise ParameterError(f"unknown weight spec {spec!r}; use {WEIGHT_GRAMMAR}")
+
+
+def resolve_weights(spec: str, m: int) -> WeightVector:
+    """Build the weight vector of length m that a spec string names.
+
+    median -> (1,...,1); center -> (1,0,...,0); ksum:K -> K ones then zeros,
+    where `ksum:auto` takes K = ceil(m / 4); centdian:G -> (1, G, ..., G);
+    file:PATH -> the m whitespace-separated numbers in the file. Any other
+    vector is WeightVector(values).
+    """
+    name, arg = parse_weight_spec(spec)
+    if name == "file":
+        with open(arg, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+        try:
+            lam = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise ParameterError(f"{arg}: {exc}") from None
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
-    if kind == "median":
-        return WeightVector(np.ones(m))
-    if kind == "center":
+    if name == "file":
+        if len(lam) != m:
+            raise ParameterError(f"explicit weights have length {len(lam)}, expected {m}")
+    elif name == "median":
+        lam = np.ones(m)
+    elif name == "center":
         lam = np.zeros(m)
         lam[0] = 1.0
-        return WeightVector(lam)
-    if kind == "ksum":
-        if k is None or not (1 <= k <= m):
+    elif name == "ksum":
+        k = max(1, math.ceil(m / 4)) if arg == "auto" else arg
+        if not 1 <= k <= m:
             raise ParameterError(f"ksum needs 1 <= k <= {m}, got {k}")
         lam = np.zeros(m)
         lam[:k] = 1.0
-        return WeightVector(lam)
-    if kind == "centdian":
-        if gamma is None or not (0.0 <= gamma <= 1.0):
-            raise ParameterError(f"centdian needs 0 <= gamma <= 1, got {gamma}")
-        lam = np.full(m, float(gamma))
+    else:  # centdian
+        if not 0.0 <= arg <= 1.0:
+            raise ParameterError(f"centdian needs 0 <= gamma <= 1, got {arg}")
+        lam = np.full(m, arg)
         lam[0] = 1.0
-        return WeightVector(lam)
-    if kind == "explicit":
-        if values is None:
-            raise ParameterError("explicit weights need a vector")
-        lam = np.asarray(values, dtype=float)
-        if lam.size != m:
-            raise ParameterError(f"explicit weights have length {lam.size}, expected {m}")
-        return WeightVector(lam)
-    raise ParameterError(f"unknown weight family {kind!r}; choose from {_FAMILIES}")
+    return WeightVector(lam)
 
 
 @dataclass(frozen=True)
@@ -426,7 +467,7 @@ def _write_instance(fh, dist, points, p, weights) -> None:
     if dist is None:
         raise ParameterError("write_instance needs a matrix or points")
     if weights is None:
-        weights = make_weights("median", dist.m)
+        weights = resolve_weights("median", dist.m)
     fh.write(f"{dist.m} {p}\n")
     fh.write(" ".join(repr(float(x)) for x in weights.lam) + "\n")
     for row in dist.d:

@@ -105,7 +105,7 @@ class LinearProgram:
         return a, rels, b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Primal/dual basic solution of a LinearProgram.
 

@@ -1,20 +1,16 @@
 """The ordered median operator: sort costs non-increasingly, dot with weights.
 
-Three equivalent evaluations are provided (direct sort, telescoped partial
-sums, and a factorial brute force used as a cross-check), plus the closest
-allocation that turns a center set into a solution and the two-vector
-construction witnessing that the operator stops being subadditive as soon
-as the weights stop being non-increasing.
+Two equivalent evaluations are provided (direct sort and telescoped partial
+sums), plus the closest allocation that turns a center set into a solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .errors import ParameterError, SizeGuardError
+from .errors import ParameterError
 from .instance import CenterSolution, DistanceMatrix, WeightVector
 
 
@@ -72,23 +68,6 @@ def om_telescoped(d, weights: WeightVector) -> float:
     return float(np.dot(weights.deltas(), theta))
 
 
-def om_max_perm_bruteforce(d, weights: WeightVector) -> float:
-    """Max over all permutations of the weighted pairing; m <= 8 only.
-
-    For non-increasing weights this equals om_evaluate (rearrangement
-    inequality); the equality is asserted in tests, not assumed here.
-    """
-    d = np.asarray(d, dtype=float)
-    _check_lengths(d, weights)
-    if d.size > 8:
-        raise SizeGuardError(f"brute force limited to m <= 8, got {d.size}")
-    lam = weights.lam
-    return max(
-        float(sum(lam[r] * d[i] for r, i in enumerate(perm)))
-        for perm in permutations(range(d.size))
-    )
-
-
 def closest_allocation(dist: DistanceMatrix, centers, weights: WeightVector) -> CenterSolution:
     """Assign every point to its nearest center (ties to the lowest index).
 
@@ -106,29 +85,3 @@ def closest_allocation(dist: DistanceMatrix, centers, weights: WeightVector) -> 
     distances = cols[np.arange(dist.m), pick]
     value = om_evaluate(distances, weights)
     return CenterSolution(tuple(q), assignment, distances, value)
-
-
-def subadditivity_gap(lam, s: int) -> float:
-    """OM(c+d) - OM(c) - OM(d) for the canonical two-vector construction.
-
-    c has ones in the first s positions; d has ones in the first s-1
-    positions and in position s+1 (1-based s). The gap always equals
-    lam_{s+1} - lam_s, so it is nonpositive exactly when the weights are
-    non-increasing across positions s, s+1. Accepts any finite weight
-    vector, including increasing ones.
-    """
-    lam = np.asarray(lam, dtype=float)
-    m = lam.size
-    if not (1 <= s < m):
-        raise ParameterError(f"s must satisfy 1 <= s < {m}, got {s}")
-    c = np.zeros(m)
-    c[:s] = 1.0
-    d = np.zeros(m)
-    d[: s - 1] = 1.0
-    d[s] = 1.0
-
-    def om_any(v):
-        # direct sorted dot; lam here need not be a valid WeightVector
-        return float(np.dot(lam, np.sort(v)[::-1]))
-
-    return om_any(c + d) - om_any(c) - om_any(d)

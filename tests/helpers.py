@@ -2,15 +2,15 @@
 
 import numpy as np
 
-from ordmed import DistanceMatrix, Instance, PointSet, WeightVector, make_weights
+from ordmed import DistanceMatrix, Instance, PointSet, WeightVector, resolve_weights
 
 # Five points on a line; every pairwise distance is distinct.
 T1_COORDS = (0.0, 1.0, 3.0, 7.0, 12.0)
 
 
-def t1_instance(kind="median", p=1, **kw) -> Instance:
+def t1_instance(spec="median", p=1) -> Instance:
     pts = np.array([[x] for x in T1_COORDS])
-    return planar_instance(pts, make_weights(kind, len(T1_COORDS), **kw), p)
+    return planar_instance(pts, resolve_weights(spec, len(T1_COORDS)), p)
 
 
 def planar_instance(coords, weights, p) -> Instance:

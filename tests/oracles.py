@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately written with different algorithms and
-different libraries than the code under test: sorting-based evaluation for
-the ordered median, exhaustive assignment search for the exact optimum,
+different libraries than the code under test: sorting-based evaluation and
+a max over all permutations for the ordered median, the two-vector probe of
+its convexity boundary, exhaustive assignment search for the exact optimum,
 rational basis enumeration for LP minima, and per-mode linear programs
 (scipy) for the dip statistic.
 """
@@ -11,15 +12,61 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
+
+from ordmed import ParameterError, SizeGuardError
 
 
 def om_oracle(values, lam) -> float:
     """Ordered median by literal definition: sort descending, dot with lam."""
     v = sorted((float(t) for t in values), reverse=True)
     return float(sum(a * b for a, b in zip(v, np.asarray(lam, dtype=float))))
+
+
+def om_max_perm_bruteforce(d, weights) -> float:
+    """Max over all permutations of the weighted pairing; m <= 8 only.
+
+    For non-increasing weights this equals the ordered median
+    (rearrangement inequality); the tests assert it rather than assume it.
+    """
+    d = np.asarray(d, dtype=float)
+    lam = weights.lam
+    if d.size != lam.size:
+        raise ParameterError(f"cost length {d.size} != weight length {lam.size}")
+    if d.size > 8:
+        raise SizeGuardError(f"brute force limited to m <= 8, got {d.size}")
+    return max(
+        float(sum(lam[r] * d[i] for r, i in enumerate(perm)))
+        for perm in permutations(range(d.size))
+    )
+
+
+def subadditivity_gap(lam, s: int) -> float:
+    """OM(c+d) - OM(c) - OM(d) for the canonical two-vector construction.
+
+    c has ones in the first s positions; d has ones in the first s-1
+    positions and in position s+1 (1-based s). The gap always equals
+    lam_{s+1} - lam_s, so it is nonpositive exactly when the weights are
+    non-increasing across positions s, s+1. Accepts any finite weight
+    vector, including increasing ones.
+    """
+    lam = np.asarray(lam, dtype=float)
+    m = lam.size
+    if not (1 <= s < m):
+        raise ParameterError(f"s must satisfy 1 <= s < {m}, got {s}")
+    c = np.zeros(m)
+    c[:s] = 1.0
+    d = np.zeros(m)
+    d[: s - 1] = 1.0
+    d[s] = 1.0
+
+    def om_any(v):
+        # direct sorted dot; lam here need not be a valid WeightVector
+        return float(np.dot(lam, np.sort(v)[::-1]))
+
+    return om_any(c + d) - om_any(c) - om_any(d)
 
 
 def domp_oracle(dist, lam, p) -> tuple[tuple[int, ...], float]:

@@ -20,15 +20,13 @@ from ordmed import (
     dip_statistic,
     has_collinear_triple,
     is_free_of_equidistance,
-    make_weights,
     om_evaluate,
-    om_max_perm_bruteforce,
     om_telescoped,
     predict_non_recovery,
+    resolve_weights,
     search_certificate,
     solve_enumeration,
     solve_lp,
-    subadditivity_gap,
     validate_metric,
 )
 from ordmed.bench_io import (
@@ -43,7 +41,7 @@ from ordmed.cli import main
 from ordmed.exact import recovery_status
 from ordmed.formulations import build_bep, build_ot
 
-from oracles import dip_lp_oracle
+from oracles import dip_lp_oracle, om_max_perm_bruteforce, subadditivity_gap
 
 
 def announce(num, name, detail):
@@ -71,10 +69,10 @@ def median_corpus():
     for i in range(100):
         m = 6 + i % 4
         pts, dist = generate_uniform(m, seed=4000 + i)
-        records.append(solved(Instance(dist, make_weights("median", m), 1, pts)))
+        records.append(solved(Instance(dist, resolve_weights("median", m), 1, pts)))
     for i in range(100):
         pts, dist = generate_ball(8, 2, 0.3, 4.0, seed=4200 + i)
-        records.append(solved(Instance(dist, make_weights("median", 8), 1, pts)))
+        records.append(solved(Instance(dist, resolve_weights("median", 8), 1, pts)))
     return records
 
 
@@ -87,7 +85,7 @@ def center_corpus():
         pts, dist, seed = foe_uniform(m, seed)
         seed += 1
         records.append(solved(
-            Instance(dist, make_weights("center", m), 1 + i % 3, pts)))
+            Instance(dist, resolve_weights("center", m), 1 + i % 3, pts)))
     return records
 
 
@@ -104,7 +102,7 @@ def two_sum_corpus():
                     is_free_of_equidistance(dist):
                 break
         records.append(solved(
-            Instance(dist, make_weights("ksum", m, k=2), 1 + i % 2, pts)))
+            Instance(dist, resolve_weights("ksum:2", m), 1 + i % 2, pts)))
     return records
 
 
@@ -118,7 +116,7 @@ def centdian_corpus():
                 pts, dist, seed = foe_uniform(m, seed)
                 seed += 1
                 rec = solved(Instance(
-                    dist, make_weights("centdian", m, gamma=gamma), 1, pts))
+                    dist, resolve_weights(f"centdian:{gamma}", m), 1, pts))
                 rec.gamma, rec.m = gamma, m
                 below.append(rec)
     scan = []
@@ -127,7 +125,7 @@ def centdian_corpus():
             pts, dist, seed = foe_uniform(m, seed)
             seed += 1
             rec = solved(Instance(
-                dist, make_weights("centdian", m, gamma=gamma), 1, pts))
+                dist, resolve_weights(f"centdian:{gamma}", m), 1, pts))
             rec.gamma, rec.m = gamma, m
             scan.append(rec)
     return below, scan
@@ -172,13 +170,12 @@ def test_03_formulation_agreement():
     for i in range(100):
         m = 6 + i % 7
         pts, dist = generate_uniform(m, seed=3000 + i)
-        kind = families[i % 4]
-        kw = {}
-        if kind == "ksum":
-            kw["k"] = int(rng.integers(1, m + 1))
-        if kind == "centdian":
-            kw["gamma"] = float(rng.uniform(0.05, 0.95))
-        inst = Instance(dist, make_weights(kind, m, **kw), 1 + i % 3, pts)
+        spec = families[i % 4]
+        if spec == "ksum":
+            spec += f":{int(rng.integers(1, m + 1))}"
+        if spec == "centdian":
+            spec += f":{float(rng.uniform(0.05, 0.95))}"
+        inst = Instance(dist, resolve_weights(spec, m), 1 + i % 3, pts)
         bep = solve_lp(build_bep(inst).lp)
         ot = solve_lp(build_ot(inst).lp)
         assert bep.status == "Optimal" and ot.status == "Optimal"
@@ -238,16 +235,14 @@ def test_08_certificate_soundness_completeness(
 
 
 def test_09_single_center_characterization():
-    families = (("median", {}), ("center", {}), ("ksum", {"k": 3}),
-                ("centdian", {"gamma": 0.5}))
+    families = ("median", "center", "ksum:3", "centdian:0.5")
     seed = 9000
     agree = 0
     for i in range(100):
         m = 5 + i % 4
         pts, dist, seed = foe_uniform(m, seed)
         seed += 1
-        kind, kw = families[i % 4]
-        inst = Instance(dist, make_weights(kind, m, **kw), 1, pts)
+        inst = Instance(dist, resolve_weights(families[i % 4], m), 1, pts)
         report = recovery_status(inst)
         best_j = report.best_solution.centers[0]
         assert check_single_center(inst, best_j) == report.recovered
@@ -256,8 +251,8 @@ def test_09_single_center_characterization():
 
 
 def test_10_conic_propagation():
-    w_first = make_weights("median", 9)
-    w_second = make_weights("centdian", 9, gamma=0.9)
+    w_first = resolve_weights("median", 9)
+    w_second = resolve_weights("centdian:0.9", 9)
     w_sum = conic_combine(w_first, w_second)
     qualifying = propagated = 0
     seed = 0
@@ -310,15 +305,14 @@ def test_12_clusterability_effect():
     labels = [lab.label for lab in classify_collection(
         [(i, dip, 0.0) for i, dip in enumerate(dips)], basis="dip-stat")]
     assert "High" in labels and "Low" in labels
-    for kind, kw in (("center", {}), ("ksum", {"k": 7}),
-                     ("centdian", {"gamma": 0.5})):
-        weights = make_weights(kind, 14, **kw)
+    for spec in ("center", "ksum:7", "centdian:0.5"):
+        weights = resolve_weights(spec, 14)
         gaps = [recovery_status(Instance(dist, weights, 3, pts)).gap_lp
                 for _, pts, dist in instances]
-        assert np.mean(gaps[:30]) < np.mean(gaps[30:]), kind
+        assert np.mean(gaps[:30]) < np.mean(gaps[30:]), spec
         high = [g for g, lab in zip(gaps, labels) if lab == "High"]
         low = [g for g, lab in zip(gaps, labels) if lab == "Low"]
-        assert np.median(high) <= np.median(low), kind
+        assert np.median(high) <= np.median(low), spec
     announce(12, "clusterability effect", "30 ball vs 30 uniform, 3 families")
 
 

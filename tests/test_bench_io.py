@@ -264,6 +264,13 @@ class TestRunExperiment:
         assert rows[0].family == "ksum"
         assert rows[0].param is None
 
+    def test_error_row_family_comes_from_the_parser(self):
+        _, dist = generate_uniform(4, seed=9)
+        rows = run_experiment([("tiny", dist)], [" ksum:9", "blah"], [1],
+                              bootstrap=100)
+        assert [row.family for row in rows] == ["ksum", ""]
+        assert all(row.error.startswith("ParameterError") for row in rows)
+
     def test_family_and_param_recorded(self):
         rows = run_experiment(ball_instances(1), ["centdian:0.5", "ksum:3"], [2],
                               bootstrap=100)

@@ -16,10 +16,10 @@ from ordmed import (
     has_collinear_triple,
     is_free_of_equidistance,
     make_certificate,
-    make_weights,
     ordered_contribution,
     predict_non_recovery,
     recovery_status,
+    resolve_weights,
     restrict_instance,
     search_certificate,
     solve_enumeration,
@@ -27,7 +27,7 @@ from ordmed import (
     strictness_margin,
     verify_certificate,
 )
-from ordmed.bench_io import generate_ball, resolve_weights
+from ordmed.bench_io import generate_ball
 
 from helpers import matrix_instance, planar_instance, random_instance, t1_instance
 
@@ -140,7 +140,7 @@ class TestSearchCertificate:
         for _ in range(6):  # single-center medians always recover
             m = int(rng.integers(5, 8))
             corpus.append(random_instance(rng, m, 1,
-                                          weights=make_weights("median", m)))
+                                          weights=resolve_weights("median", m)))
         for _ in range(6):  # generic head-heavy weights rarely recover
             m = int(rng.integers(5, 8))
             corpus.append(random_instance(rng, m, int(rng.integers(1, 4))))
@@ -161,7 +161,7 @@ class TestSearchCertificate:
 
     def test_decomposition_into_single_center_parts(self):
         pts, dist = generate_ball(10, 2, 0.3, 12.0, seed=5)
-        inst = Instance(dist, make_weights("median", 10), 2, points=pts)
+        inst = Instance(dist, resolve_weights("median", 10), 2, points=pts)
         rep = recovery_status(inst)
         assert rep.recovered
         sol = rep.best_solution
@@ -194,7 +194,7 @@ class TestCheckSingleCenter:
 
     def test_tied_distances_warn(self):
         d = np.ones((3, 3)) - np.eye(3)
-        inst = matrix_instance(d, make_weights("median", 3), 1)
+        inst = matrix_instance(d, resolve_weights("median", 3), 1)
         with pytest.warns(UserWarning):
             check_single_center(inst, 0)
 
@@ -203,9 +203,9 @@ class TestCheckSingleCenter:
         for _ in range(12):
             m = int(rng.integers(5, 8))
             kind = rng.choice(["median", "center", "centdian"])
-            kw = {"gamma": 0.5} if kind == "centdian" else {}
+            spec = "centdian:0.5" if kind == "centdian" else str(kind)
             inst = random_instance(rng, m, 1,
-                                   weights=make_weights(kind, m, **kw))
+                                   weights=resolve_weights(spec, m))
             assert is_free_of_equidistance(inst.dist)
             rep = recovery_status(inst)
             best = rep.best_solution.centers[0]
@@ -282,25 +282,25 @@ class TestPredictNonRecovery:
 
     def test_centdian_below_threshold(self):
         inst = planar_instance([[0.0], [1.0], [3.0], [7.0]],
-                               make_weights("centdian", 4, gamma=0.25), 1)
+                               resolve_weights("centdian:0.25", 4), 1)
         pred = predict_non_recovery(inst)
         assert pred.kind == NEVER_RECOVERS
         assert pred.item == 6
 
     def test_centdian_above_threshold(self):
         inst = planar_instance([[0.0], [1.0], [3.0], [7.0]],
-                               make_weights("centdian", 4, gamma=0.5), 1)
+                               resolve_weights("centdian:0.5", 4), 1)
         pred = predict_non_recovery(inst)
         assert pred.kind == UNKNOWN
         assert pred.item is None
 
     def test_centdian_needs_distinct_distances(self):
         inst = planar_instance([[0.0], [1.0], [2.0], [3.0]],
-                               make_weights("centdian", 4, gamma=0.25), 1)
+                               resolve_weights("centdian:0.25", 4), 1)
         assert predict_non_recovery(inst).kind == UNKNOWN
 
     def test_two_sum_general_position(self):
-        inst = planar_instance(GENERAL_POSITION, make_weights("ksum", 4, k=2), 1)
+        inst = planar_instance(GENERAL_POSITION, resolve_weights("ksum:2", 4), 1)
         assert is_free_of_equidistance(inst.dist)
         pred = predict_non_recovery(inst)
         assert pred.kind == NEVER_RECOVERS
@@ -308,14 +308,14 @@ class TestPredictNonRecovery:
         assert pred.checks["collinearity"] == "none"
 
     def test_two_sum_needs_coordinates(self):
-        base = planar_instance(GENERAL_POSITION, make_weights("ksum", 4, k=2), 1)
+        base = planar_instance(GENERAL_POSITION, resolve_weights("ksum:2", 4), 1)
         inst = matrix_instance(base.dist.d, base.weights, 1)
         pred = predict_non_recovery(inst)
         assert pred.kind == UNKNOWN
         assert pred.checks["collinearity"] == "unavailable"
 
     def test_two_sum_blocked_by_collinear_triple(self):
-        inst = t1_instance("ksum", p=1, k=2)
+        inst = t1_instance("ksum:2", p=1)
         pred = predict_non_recovery(inst)
         assert pred.kind == UNKNOWN
         assert pred.checks["collinearity"] == "present"
@@ -350,7 +350,7 @@ class TestPredictNonRecovery:
 
     def test_tied_distances_block_generic_item(self):
         d = np.ones((3, 3)) - np.eye(3)
-        inst = matrix_instance(d, make_weights("center", 3), 1)
+        inst = matrix_instance(d, resolve_weights("center", 3), 1)
         assert predict_non_recovery(inst).kind == UNKNOWN
 
     def test_predictions_are_sound(self):
@@ -359,14 +359,9 @@ class TestPredictNonRecovery:
         fired = 0
         for _ in range(12):
             m = int(rng.integers(4, 7))
-            kind = rng.choice(["center", "ksum", "centdian"])
-            kw = {}
-            if kind == "ksum":
-                kw["k"] = 2
-            if kind == "centdian":
-                kw["gamma"] = 0.2
+            spec = rng.choice(["center", "ksum:2", "centdian:0.2"])
             inst = random_instance(rng, m, int(rng.integers(1, 3)),
-                                   weights=make_weights(kind, m, **kw))
+                                   weights=resolve_weights(str(spec), m))
             pred = predict_non_recovery(inst)
             if pred.kind == NEVER_RECOVERS:
                 fired += 1
@@ -400,8 +395,8 @@ class TestConicCombine:
         checked = 0
         for seed in range(10):
             pts, dist = generate_ball(9, 3, 0.2, 10.0, seed=seed)
-            med = make_weights("median", 9)
-            second = make_weights("centdian", 9, gamma=0.9)
+            med = resolve_weights("median", 9)
+            second = resolve_weights("centdian:0.9", 9)
             r1 = recovery_status(Instance(dist, med, 3, points=pts))
             r2 = recovery_status(Instance(dist, second, 3, points=pts))
             if not (r1.recovered and r2.recovered

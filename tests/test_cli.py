@@ -8,8 +8,9 @@ import shutil
 import numpy as np
 import pytest
 
-from ordmed import PointSet, make_weights, write_instance
+from ordmed import PointSet, resolve_weights, write_instance
 from ordmed.cli import main
+from ordmed.instance import WEIGHT_GRAMMAR
 
 from helpers import T1_COORDS
 
@@ -38,7 +39,7 @@ def center_matrix_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "m8.txt"
     pts = PointSet(np.random.default_rng(5).uniform(size=(8, 2)))
     write_instance(path, dist=pts.distance_matrix(), p=2,
-                   weights=make_weights("center", 8))
+                   weights=resolve_weights("center", 8))
     return str(path)
 
 
@@ -504,3 +505,8 @@ class TestHelp:
         assert code == 0
         for flag in HELP_FLAGS[sub]:
             assert flag in out, f"{sub} help is missing {flag}"
+
+    def test_weights_help_quotes_the_grammar(self, capsys):
+        code, out, _ = run(capsys, "relax", "--help")
+        assert code == 0
+        assert WEIGHT_GRAMMAR in " ".join(out.split())

@@ -19,7 +19,6 @@ from ordmed import (
     floyd_warshall,
     generate_ball,
     generate_uniform,
-    make_weights,
     parse_pmed,
     prefix_subsample,
     recovery_status,
@@ -57,14 +56,14 @@ class TestEnumeration:
 
     def test_tie_prefers_lexicographically_smallest(self):
         square = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
-        inst = planar_instance(square, make_weights("median", 4), 2)
+        inst = planar_instance(square, resolve_weights("median", 4), 2)
         sol = solve_enumeration(inst)
         assert sol.value == pytest.approx(2.0)
         assert sol.centers == (0, 1)
 
     def test_subset_count_guard(self):
         xs = np.arange(40, dtype=float)[:, None]
-        inst = planar_instance(xs, make_weights("median", 40), 20)
+        inst = planar_instance(xs, resolve_weights("median", 40), 20)
         with pytest.raises(SizeGuardError):
             solve_enumeration(inst)
 
@@ -169,7 +168,7 @@ class TestBlockedEnumeration:
         # center 1 beats center 0 by 2e-12, far inside NEAR_TIE_RTOL, so both
         # are re-scored and the exact comparison decides
         d = [[0.0, 0.5, 2.5], [0.5 + 2e-12, 0.0, 2.5], [0.5, 0.5, 0.0]]
-        inst = matrix_instance(d, make_weights("median", 3), 1)
+        inst = matrix_instance(d, resolve_weights("median", 3), 1)
         assert solve_enumeration(inst).centers == (1,)
 
     def test_tie_in_a_later_block_keeps_the_first_set(self, monkeypatch):
@@ -177,7 +176,7 @@ class TestBlockedEnumeration:
         # median weights; with one subset per block each tie has its own block
         monkeypatch.setattr(ordmed.exact, "ENUMERATION_BLOCK", 1)
         square = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
-        inst = planar_instance(square, make_weights("median", 4), 2)
+        inst = planar_instance(square, resolve_weights("median", 4), 2)
         assert solve_enumeration(inst).centers == (0, 1)
 
     @pytest.mark.parametrize("m, p, block", [(8, 2, 7), (7, 3, 35), (6, 3, 5)])
@@ -186,7 +185,7 @@ class TestBlockedEnumeration:
         monkeypatch.setattr(ordmed.exact, "ENUMERATION_BLOCK", block)
         grid = PointSet(np.array([[i % 3, i // 3] for i in range(m)], dtype=float))
         for kind in ("center", "median"):
-            inst = Instance(grid.distance_matrix(), make_weights(kind, m), p)
+            inst = Instance(grid.distance_matrix(), resolve_weights(kind, m), p)
             assert same_solution(solve_enumeration(inst),
                                  per_subset_enumeration(inst))
 

@@ -7,6 +7,7 @@ from ordmed import (
     Instance,
     ParameterError,
     PointSet,
+    WeightVector,
     build_bep,
     build_ot,
     closest_allocation,
@@ -16,7 +17,6 @@ from ordmed import (
     fractionality_report,
     generate_ball,
     generate_uniform,
-    make_weights,
     om_evaluate,
     parse_pmed,
     prefix_subsample,
@@ -36,7 +36,7 @@ def lp_value(model):
 
 
 # (3, 2, 2, 1, 1): lam_m = 1, and runs above it at positions 1 and 2-3
-RUNS_ABOVE_TAIL = make_weights("explicit", 5, values=[3.0, 2.0, 2.0, 1.0, 1.0])
+RUNS_ABOVE_TAIL = WeightVector([3.0, 2.0, 2.0, 1.0, 1.0])
 
 
 def sorting_steps(lam):
@@ -86,7 +86,7 @@ class TestModelShape:
             assert cols == set(range(model.lp.n_vars))
 
     def test_sort_row_z_coefficient(self):
-        for weights in (make_weights("centdian", 5, gamma=0.5), RUNS_ABOVE_TAIL):
+        for weights in (resolve_weights("centdian:0.5", 5), RUNS_ABOVE_TAIL):
             inst = planar_instance(t1_instance().points.coords, weights, 1)
             model = build_bep(inst)
             lam = inst.weights.lam
@@ -209,7 +209,7 @@ class TestEmbedding:
 
 class TestFractionalityReport:
     def test_constructed_fractional_vector(self):
-        inst = planar_instance([[0.0], [1.0], [3.0]], make_weights("median", 3), 2)
+        inst = planar_instance([[0.0], [1.0], [3.0]], resolve_weights("median", 3), 2)
         model = build_bep(inst)
         x = np.zeros(model.lp.n_vars)
         for j, val in enumerate((0.5, 0.5, 1.0)):
@@ -232,14 +232,13 @@ class TestRelaxationValues:
         rng = np.random.default_rng(41)
         for _ in range(25):
             m = int(rng.integers(5, 9))
-            kind = rng.choice(["median", "center", "ksum", "centdian"])
-            kw = {}
-            if kind == "ksum":
-                kw["k"] = int(rng.integers(1, m + 1))
-            if kind == "centdian":
-                kw["gamma"] = float(rng.uniform(0.1, 1.0))
+            spec = str(rng.choice(["median", "center", "ksum", "centdian"]))
+            if spec == "ksum":
+                spec += f":{int(rng.integers(1, m + 1))}"
+            if spec == "centdian":
+                spec += f":{float(rng.uniform(0.1, 1.0))}"
             inst = planar_instance(
-                random_points(rng, m), make_weights(kind, m, **kw),
+                random_points(rng, m), resolve_weights(spec, m),
                 int(rng.integers(1, 4)),
             )
             _, bep = lp_value(build_bep(inst))
@@ -271,7 +270,7 @@ class TestRelaxationValues:
         lam = np.full(9, 1.9)
         lam[0] = 2.0
         points, dist = generate_ball(9, 3, 0.2, 10.0, seed=15)
-        inst = Instance(dist, make_weights("explicit", 9, values=lam), 3, points)
+        inst = Instance(dist, WeightVector(lam), 3, points)
         _, bep = lp_value(build_bep(inst))
         _, ot = lp_value(build_ot(inst))
         assert abs(bep - ot) <= 1e-6 * (1.0 + abs(bep))
@@ -292,8 +291,8 @@ def oracle_corpus():
     )
     weights = [resolve_weights(spec, m)
                for spec in ("median", "center", "ksum:2", "centdian:0.5")]
-    weights.append(make_weights("explicit", m, values=[3, 2, 2, 1, 1, 0, 0]))
-    weights.append(make_weights("explicit", m, values=[0.0] * m))
+    weights.append(WeightVector([3, 2, 2, 1, 1, 0, 0]))
+    weights.append(WeightVector([0.0] * m))
     return [Instance(dist, w, p) for dist in dists for w in weights for p in (1, 2, 3)]
 
 

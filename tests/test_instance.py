@@ -1,5 +1,6 @@
 """Distance validation, weight families, and instance restriction."""
 
+import copy
 import io
 
 import numpy as np
@@ -9,19 +10,23 @@ from ordmed import (
     CenterSolution,
     DistanceMatrix,
     Instance,
+    LinearProgram,
     ParameterError,
     PointSet,
     WeightVector,
     classify_weights,
     closest_allocation,
     is_free_of_equidistance,
-    make_weights,
     read_instance,
+    resolve_weights,
     restrict_instance,
+    search_certificate,
     solve_enumeration,
+    solve_lp,
     validate_metric,
     write_instance,
 )
+from ordmed.instance import WEIGHT_GRAMMAR
 
 from helpers import T1_COORDS, planar_instance, random_points, t1_instance
 
@@ -98,29 +103,23 @@ class TestFreeOfEquidistance:
 
 class TestMakeWeights:
     def test_center(self):
-        assert make_weights("center", 4).lam.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert resolve_weights("center", 4).lam.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_ksum(self):
-        assert make_weights("ksum", 5, k=2).lam.tolist() == [1, 1, 0, 0, 0]
+        assert resolve_weights("ksum:2", 5).lam.tolist() == [1, 1, 0, 0, 0]
 
     def test_centdian(self):
-        assert make_weights("centdian", 3, gamma=0.5).lam.tolist() == [1.0, 0.5, 0.5]
+        assert resolve_weights("centdian:0.5", 3).lam.tolist() == [1.0, 0.5, 0.5]
 
     def test_median(self):
-        assert make_weights("median", 3).lam.tolist() == [1.0, 1.0, 1.0]
+        assert resolve_weights("median", 3).lam.tolist() == [1.0, 1.0, 1.0]
 
-    @pytest.mark.parametrize("kind,kw", [
-        ("ksum", {"k": 0}),
-        ("ksum", {"k": 6}),
-        ("ksum", {}),
-        ("centdian", {"gamma": 1.5}),
-        ("centdian", {"gamma": -0.1}),
-        ("centdian", {}),
-        ("nonesuch", {}),
-    ])
-    def test_invalid_parameters(self, kind, kw):
+    @pytest.mark.parametrize("spec", ["ksum:0", "ksum:6", "ksum",
+                                      "centdian:1.5", "centdian:-0.1",
+                                      "centdian", "nonesuch"])
+    def test_invalid_parameters(self, spec):
         with pytest.raises(ParameterError):
-            make_weights(kind, 5, **kw)
+            resolve_weights(spec, 5)
 
     def test_weight_vector_rejects_increasing(self):
         with pytest.raises(ParameterError):
@@ -143,6 +142,22 @@ class TestClassifyWeights:
         assert (ks.family, ks.param) == ("ksum", 2.0)
         assert classify_weights(WeightVector((1.0, 0.7, 0.3, 0.0))).family == "general"
 
+    @pytest.mark.parametrize("m,spec,family,param", [
+        (m, spec, spec.partition(":")[0], param)
+        for m in (2, 5, 12)
+        for spec, param in [("median", None), ("center", None)]
+        + [(f"ksum:{k}", float(k)) for k in range(2, m)]
+        + [(f"centdian:{g}", g) for g in (0.1, 0.5, 0.9)]
+    ])
+    def test_spec_round_trip(self, m, spec, family, param):
+        wc = classify_weights(resolve_weights(spec, m))
+        assert (wc.family, wc.param, wc.scale) == (family, param, 1.0)
+
+    def test_unknown_spec_quotes_the_grammar(self):
+        with pytest.raises(ParameterError) as info:
+            resolve_weights("nonesuch", 5)
+        assert WEIGHT_GRAMMAR in str(info.value)
+
     def test_all_zero_is_degenerate_median(self):
         wc = classify_weights(WeightVector((0.0, 0.0)))
         assert wc.scale == 0.0
@@ -151,13 +166,12 @@ class TestClassifyWeights:
         rng = np.random.default_rng(11)
         for _ in range(50):
             m = int(rng.integers(2, 9))
-            kind = rng.choice(["median", "center", "ksum", "centdian"])
-            kw = {}
-            if kind == "ksum":
-                kw["k"] = int(rng.integers(1, m + 1))
-            if kind == "centdian":
-                kw["gamma"] = float(rng.uniform(0.05, 1.0))
-            base = make_weights(kind, m, **kw)
+            spec = str(rng.choice(["median", "center", "ksum", "centdian"]))
+            if spec == "ksum":
+                spec += f":{int(rng.integers(1, m + 1))}"
+            if spec == "centdian":
+                spec += f":{float(rng.uniform(0.05, 1.0))}"
+            base = resolve_weights(spec, m)
             c = float(rng.uniform(0.1, 10.0))
             scaled = classify_weights(WeightVector(base.lam * c))
             orig = classify_weights(base)
@@ -240,7 +254,7 @@ class TestInstanceValidation:
 
     def test_p_out_of_range(self):
         d = line_matrix([0.0, 1.0, 3.0])
-        w = make_weights("median", 3)
+        w = resolve_weights("median", 3)
         with pytest.raises(ParameterError):
             Instance(d, w, 0)
         with pytest.raises(ParameterError):
@@ -250,7 +264,7 @@ class TestInstanceValidation:
         d = line_matrix([0.0, 1.0, 3.0])
         bad = PointSet(np.array([[0.0], [1.0], [4.0]]))
         with pytest.raises(ParameterError):
-            Instance(d, make_weights("median", 3), 1, points=bad)
+            Instance(d, resolve_weights("median", 3), 1, points=bad)
 
     def test_solution_group(self):
         sol = CenterSolution((0,), (0, 0, 0), np.array([0.0, 1.0, 2.0]), 3.0)
@@ -262,7 +276,7 @@ class TestInstanceFiles:
     def test_matrix_round_trip(self, tmp_path):
         path = tmp_path / "inst.txt"
         d = line_matrix(T1_COORDS)
-        w = make_weights("centdian", 5, gamma=0.25)
+        w = resolve_weights("centdian:0.25", 5)
         write_instance(path, dist=d, p=2, weights=w)
         rd, rpts, rp, rw = read_instance(path)
         assert rpts is None
@@ -291,3 +305,26 @@ class TestInstanceFiles:
         with pytest.raises(Exception) as exc:
             read_instance(path)
         assert "4" in str(exc.value)
+
+
+def _lp_solution():
+    lp = LinearProgram("tiny")
+    lp.add_variable(1.0, upper=1.0)
+    return solve_lp(lp)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DistanceMatrix([[0.0, 1.0], [1.0, 0.0]]),
+    lambda: PointSet([[0.0], [1.0]]),
+    lambda: WeightVector((1.0, 0.5)),
+    lambda: solve_enumeration(t1_instance()),
+    lambda: search_certificate(t1_instance(), solve_enumeration(t1_instance()))[0],
+    _lp_solution,
+], ids=["DistanceMatrix", "PointSet", "WeightVector", "CenterSolution",
+        "DualCertificate", "LpSolution"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    a = make()
+    assert a == a
+    assert a != copy.copy(a)
+    assert isinstance(hash(a), int)
+    assert a in {a} and len({a, a}) == 1

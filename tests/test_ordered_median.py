@@ -11,14 +11,12 @@ from ordmed import (
     WeightVector,
     closest_allocation,
     om_evaluate,
-    om_max_perm_bruteforce,
     om_telescoped,
     sorting_permutation,
-    subadditivity_gap,
 )
 
 from helpers import t1_instance
-from oracles import om_oracle
+from oracles import om_max_perm_bruteforce, om_oracle, subadditivity_gap
 
 
 def weights(*lam):
@@ -165,7 +163,7 @@ class TestClosestAllocation:
         assert sol.assignment[2] == 0
 
     def test_value_matches_om(self):
-        inst = t1_instance("centdian", p=2, gamma=0.25)
+        inst = t1_instance("centdian:0.25", p=2)
         sol = closest_allocation(inst.dist, (1, 4), inst.weights)
         assert sol.value == pytest.approx(om_evaluate(sol.distances, inst.weights))
 
