@@ -33,6 +33,6 @@ from .instance import (CenterSolution, DistanceMatrix, Instance, PointSet,
 from .lp_core import (LinearProgram, LpSolution, ResidualReport,
                       check_solution, solve_lp)
 from .ordered_median import (SortPermutation, closest_allocation, om_evaluate,
-                             om_telescoped, sorting_permutation)
+                             sorting_permutation)
 
 __version__ = "0.1.0"

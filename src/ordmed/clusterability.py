@@ -44,6 +44,10 @@ def dip_statistic(sample) -> DipResult:
     of the sorted sample, shrinking to the modal interval until the gap
     stops growing. Values are in [1/(2n), 1/4]; samples of size up to 3 and
     constant samples sit exactly on the lower bound.
+
+    The walk is scalar code, so it runs on Python lists: indexing a numpy
+    array boxes a new scalar on every read. Lists hold the same doubles and
+    ints, so every dip and modal interval is bit-identical.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
@@ -55,11 +59,12 @@ def dip_statistic(sample) -> DipResult:
         return DipResult(dip=0.5 / n, n=n, modal_low=float(x[0]),
                          modal_high=float(x[-1]))
 
+    x = x.tolist()
     low, high = 0, n - 1
     dip_value = 1.0  # in 2n * dip units; enforces the 1/(2n) floor
 
     # for each j, mn[j] starts the chord ending at j on the convex minorant
-    mn = np.zeros(n, dtype=int)
+    mn = [0] * n
     for j in range(1, n):
         mn[j] = j - 1
         while True:
@@ -69,7 +74,7 @@ def dip_statistic(sample) -> DipResult:
                 break
             mn[j] = mnmnj
     # mirrored chords for the concave majorant
-    mj = np.zeros(n, dtype=int)
+    mj = [0] * n
     mj[n - 1] = n - 1
     for k in range(n - 2, -1, -1):
         mj[k] = k + 1
@@ -80,8 +85,8 @@ def dip_statistic(sample) -> DipResult:
                 break
             mj[k] = mjmjk
 
-    gcm = np.zeros(n, dtype=int)
-    lcm = np.zeros(n, dtype=int)
+    gcm = [0] * n
+    lcm = [0] * n
     while True:
         gcm[0] = high
         i = 0
@@ -171,8 +176,7 @@ def dip_statistic(sample) -> DipResult:
     dip = dip_value / (2 * n)
     if not 0.5 / n - 1e-12 <= dip <= 0.25 + 1e-12:
         raise AssertionError(f"dip {dip} escaped [1/(2n), 1/4]")
-    return DipResult(dip=float(dip), n=n, modal_low=float(x[low]),
-                     modal_high=float(x[high]))
+    return DipResult(dip=dip, n=n, modal_low=x[low], modal_high=x[high])
 
 
 def dip_pvalue(sample, bootstrap: int = 1000, seed: int = 0) -> float:

@@ -1,7 +1,7 @@
 """The ordered median operator: sort costs non-increasingly, dot with weights.
 
-Two equivalent evaluations are provided (direct sort and telescoped partial
-sums), plus the closest allocation that turns a center set into a solution.
+Evaluation by a direct sort, plus the closest allocation that turns a
+center set into a solution.
 """
 
 from __future__ import annotations
@@ -54,18 +54,6 @@ def om_evaluate(d, weights: WeightVector) -> float:
     _check_lengths(d, weights)
     order = np.argsort(-d, kind="stable")
     return float(np.dot(weights.lam, d[order]))
-
-
-def om_telescoped(d, weights: WeightVector) -> float:
-    """Same value through partial sums: sum_r delta_r * (sum of r largest).
-
-    One shared sort yields every partial sum via a cumulative sum.
-    """
-    d = np.asarray(d, dtype=float)
-    _check_lengths(d, weights)
-    sorted_desc = np.sort(d)[::-1]
-    theta = np.cumsum(sorted_desc)
-    return float(np.dot(weights.deltas(), theta))
 
 
 def closest_allocation(dist: DistanceMatrix, centers, weights: WeightVector) -> CenterSolution:

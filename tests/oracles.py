@@ -1,11 +1,11 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately written with different algorithms and
-different libraries than the code under test: sorting-based evaluation and
-a max over all permutations for the ordered median, the two-vector probe of
-its convexity boundary, exhaustive assignment search for the exact optimum,
-rational basis enumeration for LP minima, and per-mode linear programs
-(scipy) for the dip statistic.
+different libraries than the code under test: sorting-based evaluation,
+telescoped partial sums and a max over all permutations for the ordered
+median, the two-vector probe of its convexity boundary, exhaustive
+assignment search for the exact optimum, rational basis enumeration for
+LP minima, and per-mode linear programs (scipy) for the dip statistic.
 """
 
 from __future__ import annotations
@@ -41,6 +41,18 @@ def om_max_perm_bruteforce(d, weights) -> float:
         float(sum(lam[r] * d[i] for r, i in enumerate(perm)))
         for perm in permutations(range(d.size))
     )
+
+
+def om_telescoped(d, weights) -> float:
+    """Ordered median through partial sums: sum_r delta_r * (sum of r largest).
+
+    One shared sort yields every partial sum via a cumulative sum.
+    """
+    d = np.asarray(d, dtype=float)
+    if d.size != weights.m:
+        raise ParameterError(f"cost length {d.size} != weight length {weights.m}")
+    theta = np.cumsum(np.sort(d)[::-1])
+    return float(np.dot(weights.deltas(), theta))
 
 
 def subadditivity_gap(lam, s: int) -> float:

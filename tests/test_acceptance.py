@@ -21,7 +21,6 @@ from ordmed import (
     has_collinear_triple,
     is_free_of_equidistance,
     om_evaluate,
-    om_telescoped,
     predict_non_recovery,
     resolve_weights,
     search_certificate,
@@ -41,7 +40,8 @@ from ordmed.cli import main
 from ordmed.exact import recovery_status
 from ordmed.formulations import build_bep, build_ot
 
-from oracles import dip_lp_oracle, om_max_perm_bruteforce, subadditivity_gap
+from oracles import (dip_lp_oracle, om_max_perm_bruteforce, om_telescoped,
+                     subadditivity_gap)
 
 
 def announce(num, name, detail):

@@ -13,7 +13,7 @@ from ordmed import (
     dip_statistic,
     mds_1d,
 )
-from ordmed.bench_io import generate_ball
+from ordmed.bench_io import generate_ball, generate_uniform
 from ordmed.clusterability import HIGH, LOW, MDS_THRESHOLD, MIDDLE
 
 from oracles import dip_lp_oracle
@@ -88,6 +88,85 @@ class TestDipStatistic:
             want = dip_lp_oracle(x)
             worst = max(worst, abs(got - want))
         assert worst <= 1e-9
+
+
+# float.hex of (dip, modal_low, modal_high) and of 200-replicate p-values.
+# A rewrite of the corner walk must reproduce every bit, not just agree to
+# a tolerance as the LP oracle check does.
+GOLDEN_DIPS = {
+    ("normal", 2): ("0x1.0000000000000p-2", "-0x1.0ba5af0863ba3p-1", "0x1.832e6b6002ebdp-3"),
+    ("normal", 3): ("0x1.5555555555555p-3", "-0x1.47200820833aap+1", "0x1.053cd67810b16p+1"),
+    ("normal", 4): ("0x1.0000000000000p-3", "-0x1.4db791e89425fp-1", "-0x1.65d22e04add80p-3"),
+    ("normal", 5): ("0x1.999999999999ap-4", "-0x1.530930ee62e3ep+0", "-0x1.9a96c17a324a9p-1"),
+    ("normal", 12): ("0x1.a59087a3b7fc5p-4", "-0x1.b95ab19b2e27cp-4", "-0x1.bf665c4268e98p-8"),
+    ("normal", 45): ("0x1.4a1e71f3d235fp-5", "-0x1.5af2fa58a358ep-1", "-0x1.d15645b2744ccp-3"),
+    ("normal", 91): ("0x1.665a4aa2d9752p-5", "0x1.ec50f20e08621p-2", "0x1.7cd861ecf1d23p-1"),
+    ("normal", 435): ("0x1.bf45b36c26e12p-7", "-0x1.2ea413b3f5fe1p-1", "-0x1.1eef27fd511a2p-4"),
+    ("ties", 2): ("0x1.0000000000000p-2", "0x0.0p+0", "0x1.0000000000000p+0"),
+    ("ties", 3): ("0x1.5555555555555p-3", "0x0.0p+0", "0x1.0000000000000p+0"),
+    ("ties", 4): ("0x1.0000000000000p-3", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("ties", 5): ("0x1.999999999999ap-3", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("ties", 12): ("0x1.0000000000000p-3", "0x0.0p+0", "0x0.0p+0"),
+    ("ties", 45): ("0x1.3333333333333p-4", "0x1.c000000000000p+2", "0x1.c000000000000p+2"),
+    ("ties", 91): ("0x1.5b3a45ed836a9p-5", "0x1.6000000000000p+3", "0x1.8000000000000p+3"),
+    ("ties", 435): ("0x1.b6add9fd4cbf9p-6", "0x0.0p+0", "0x1.1000000000000p+4"),
+    ("bimodal", 2): ("0x1.0000000000000p-2", "0x1.35bebc4ccf231p-6", "0x1.e53c3b4bf6070p-1"),
+    ("bimodal", 3): ("0x1.5555555555555p-3", "0x1.a1faf0c01ab57p-3", "0x1.0ab40d7751791p+0"),
+    ("bimodal", 4): ("0x1.d48d9af1eed5dp-3", "-0x1.0af94186dceb3p-4", "-0x1.1e41be6a24acdp-6"),
+    ("bimodal", 5): ("0x1.8647b989a9a86p-3", "0x1.f348acaf1a97dp-1", "0x1.1d1531ce60b26p+0"),
+    ("bimodal", 12): ("0x1.6db5d06094d1dp-3", "0x1.bc61cd9b6cd57p-1", "0x1.19917f5b9a1cep+0"),
+    ("bimodal", 45): ("0x1.5ad9a0867a2dap-3", "-0x1.97b3084db0839p-4", "0x1.59a999c24141ep-4"),
+    ("bimodal", 91): ("0x1.45c9d77204234p-3", "-0x1.557f8488a6ec9p-4", "0x1.38ec4c3d66217p-3"),
+    ("bimodal", 435): ("0x1.2c59b8971e53ap-3", "0x1.ace9ca61a265fp-1", "0x1.35718ee229742p+0"),
+    ("constant", 2): ("0x1.0000000000000p-2", "0x1.4000000000000p+1", "0x1.4000000000000p+1"),
+    ("constant", 3): ("0x1.5555555555555p-3", "0x1.4000000000000p+1", "0x1.4000000000000p+1"),
+    ("constant", 4): ("0x1.0000000000000p-3", "0x1.4000000000000p+1", "0x1.4000000000000p+1"),
+    ("constant", 5): ("0x1.999999999999ap-4", "0x1.4000000000000p+1", "0x1.4000000000000p+1"),
+    ("constant", 12): ("0x1.5555555555555p-5", "0x1.4000000000000p+1", "0x1.4000000000000p+1"),
+    ("constant", 45): ("0x1.6c16c16c16c17p-7", "0x1.4000000000000p+1", "0x1.4000000000000p+1"),
+    ("constant", 91): ("0x1.6816816816817p-8", "0x1.4000000000000p+1", "0x1.4000000000000p+1"),
+    ("constant", 435): ("0x1.2d50a012d50a0p-10", "0x1.4000000000000p+1", "0x1.4000000000000p+1"),
+}
+GOLDEN_PVALUES = {
+    ("ball", 1): "0x1.832f1fd73e687p-4",
+    ("ball", 2): "0x1.78feb9f34380ap-2",
+    ("uniform", 1): "0x1.7b8ad36c423a9p-1",
+    ("uniform", 2): "0x1.cd0e028c19790p-1",
+}
+
+
+def golden_sample(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "ties":
+        return rng.integers(0, max(2, n // 3), size=n).astype(float)
+    if kind == "bimodal":
+        return np.concatenate([rng.normal(0.0, 0.1, n // 2),
+                               rng.normal(1.0, 0.1, n - n // 2)])
+    return np.full(n, 2.5)
+
+
+def pvalue_sample(kind, seed):
+    if kind == "ball":
+        _, dist = generate_ball(10, 2, 0.4, 1.0, seed=seed)
+    else:
+        _, dist = generate_uniform(10, seed=seed)
+    return clusterability_sample(dist)
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("kind, n", sorted(GOLDEN_DIPS))
+    def test_dip_and_modal_interval(self, kind, n):
+        res = dip_statistic(golden_sample(kind, n))
+        got = (res.dip.hex(), res.modal_low.hex(), res.modal_high.hex())
+        assert got == GOLDEN_DIPS[kind, n]
+
+    @pytest.mark.parametrize("kind, seed", sorted(GOLDEN_PVALUES))
+    def test_pvalue(self, kind, seed):
+        x = pvalue_sample(kind, seed)
+        assert len(x) == 45
+        assert dip_pvalue(x, bootstrap=200, seed=seed).hex() == GOLDEN_PVALUES[kind, seed]
 
 
 class TestDipPvalue:

@@ -11,12 +11,12 @@ from ordmed import (
     WeightVector,
     closest_allocation,
     om_evaluate,
-    om_telescoped,
     sorting_permutation,
 )
 
 from helpers import t1_instance
-from oracles import om_max_perm_bruteforce, om_oracle, subadditivity_gap
+from oracles import (om_max_perm_bruteforce, om_oracle, om_telescoped,
+                     subadditivity_gap)
 
 
 def weights(*lam):
