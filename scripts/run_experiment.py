@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Generate a clustered-vs-uniform batch and run the experiment harness on it.
 
-Writes instance files, the CSV report, and per-family performance profiles
-under --workdir, all through the ordmed command-line interface, so the
-script doubles as a usage example. Only report.csv is byte-identical
-across reruns with the same arguments: the profile CSVs bin the wall-clock
-time_lp, so they differ from run to run.
+Writes the instance files and the CSV report under --workdir, all through
+the ordmed command-line interface, so the script doubles as a usage example.
+Every file it writes is byte-identical across reruns with the same
+arguments.
 """
 
 import argparse
@@ -58,9 +57,7 @@ def run(argv=None):
     for spec in args.weights:
         cmd += ["--weights", spec]
     cmd += ["--p", str(args.p), "--seed", str(args.seed),
-            "--bootstrap", str(args.bootstrap),
-            "--profile-dir", os.path.join(args.workdir, "profiles"),
-            "-o", report]
+            "--bootstrap", str(args.bootstrap), "-o", report]
     return ordmed(cmd)
 
 

@@ -8,8 +8,7 @@ clusterability diagnostics, benchmark ingestion, and a batch harness.
 
 from .bench_io import (EdgeGraph, ExperimentRow, data_path, floyd_warshall,
                        generate_ball, generate_uniform, parse_pmed,
-                       prefix_subsample, profile_series, rows_to_csv,
-                       run_experiment)
+                       prefix_subsample, rows_to_csv, run_experiment)
 from .certificates import (MEDIAN_SINGLE_RECOVERS, NEVER_RECOVERS, UNKNOWN,
                            DualCertificate, CertificateVerdict, Prediction,
                            check_single_center, conic_combine,

@@ -4,7 +4,7 @@ Covers the full loop around the core solvers: read the classic p-median
 benchmark files and complete them to all-pairs distance matrices, generate
 clustered (stochastic-ball) and uniform control instances, run a batch of
 (instance, weight family, p) cells with per-row fault isolation, and emit
-the results as a fixed-schema CSV table plus performance-profile series.
+the results as a fixed-schema CSV table.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .instance import DistanceMatrix, Instance, PointSet, classify_weights, \
     is_free_of_equidistance, parse_weight_spec, resolve_weights
 
 PLACEMENT_CAP = 10**5
-PROFILE_POINTS = 50
-PROFILE_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,9 @@ def generate_ball(m: int, p_clusters: int, radius: float, separation: float,
     """
     if not (1 <= p_clusters <= m):
         raise ParameterError(f"need 1 <= clusters <= m, got {p_clusters}, {m}")
-    if radius < 0 or separation < 0:
-        raise ParameterError("radius and separation must be nonnegative")
+    if not all(np.isfinite(v) and v >= 0 for v in (radius, separation)):
+        raise ParameterError("radius and separation must be finite and "
+                             f"nonnegative, got {radius}, {separation}")
     if dim < 1:
         raise ParameterError(f"dim must be positive, got {dim}")
     rng = np.random.default_rng(seed)
@@ -206,10 +205,8 @@ def data_path(name: str):
 class ExperimentRow:
     """One harness cell: an instance solved under one weight family and p.
 
-    gap_lp_root duplicates gap_lp: there is no tree search here whose root
-    bound could differ, and the column keeps report schemas aligned with
-    branch-and-bound tooling. Failed cells carry their message in `error`
-    and leave the numeric fields empty.
+    Failed cells carry their message in `error` and leave the numeric fields
+    empty.
     """
 
     instance: str
@@ -220,7 +217,6 @@ class ExperimentRow:
     v_ip: float | None = None
     v_lp: float | None = None
     gap_lp: float | None = None
-    gap_lp_root: float | None = None
     recovered: bool | None = None
     vertex_integral: bool | None = None
     time_enumeration: float | None = None
@@ -275,7 +271,6 @@ def _run_cell(dist, points, spec, p):
         "v_ip": report.v_ip,
         "v_lp": report.v_lp,
         "gap_lp": report.gap_lp,
-        "gap_lp_root": report.gap_lp,
         "recovered": report.recovered,
         "vertex_integral": report.vertex_integral,
         "time_enumeration": report.time_enumeration,
@@ -287,41 +282,31 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
                    bootstrap: int = 1000) -> list[ExperimentRow]:
     """Solve every (instance, family, p) cell and tabulate the outcomes.
 
-    instances: sequence of (name, DistanceMatrix | Instance-like) pairs; a
-    pair may also carry (name, dist, points) to keep coordinates. families:
-    weight spec strings for resolve_weights. Cell failures are caught and
-    recorded in-row, under the spec's family name (blank when the spec does
-    not parse); the batch always completes. Rows come back in input
-    order (instance, then family, then p). Instance idx bootstraps its dip
-    p-value with seed + idx; where its dip cannot be computed (a negative
-    seed, say) the dip columns stay empty. Clusterability labels are
-    computed across the instances with a dip and repeated on each of an
+    instances: sequence of (name, DistanceMatrix, PointSet | None) triples.
+    families: weight spec strings for resolve_weights. Cell failures are
+    caught and recorded in-row, under the spec's family name (blank when the
+    spec does not parse); the batch always completes. Rows come back in
+    input order (instance, then family, then p). Instance idx bootstraps its
+    dip p-value with seed + idx; where its dip cannot be computed (a
+    negative seed, say) the dip columns stay empty. Clusterability labels
+    are computed across the instances with a dip and repeated on each of an
     instance's rows; with fewer than two such instances they stay empty.
     """
-    norm: list[tuple[str, DistanceMatrix, PointSet | None]] = []
-    for entry in instances:
-        if len(entry) == 2:
-            name, dist = entry
-            points = None
-        else:
-            name, dist, points = entry
-        norm.append((str(name), dist, points))
-
     profiles = []
-    for idx, (_, dist, _) in enumerate(norm):
+    for idx, (_, dist, _) in enumerate(instances):
         try:
             profiles.append(instance_profile(dist, bootstrap=bootstrap,
                                              seed=seed + idx))
         except OrdmedError:
             profiles.append((None, None))
     labels = collection_labels([(name, dip, pval) for (name, _, _), (dip, pval)
-                                in zip(norm, profiles)])
+                                in zip(instances, profiles)])
     shared = [  # the fields every row of one instance repeats
         {"dip": dip, "dip_pvalue": pval, "label_dip": label_dip,
          "label_pvalue": label_pvalue,
          "free_of_equidistance": is_free_of_equidistance(dist)}
         for (_, dist, _), (dip, pval), (label_dip, label_pvalue)
-        in zip(norm, profiles, labels)]
+        in zip(instances, profiles, labels)]
 
     def solve(idx, name, dist, points, spec, p):
         family = ""
@@ -334,7 +319,7 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
         return ExperimentRow(instance=name, m=dist.m, p=p, **shared[idx], **cell)
 
     return [solve(idx, name, dist, points, spec, p)
-            for idx, (name, dist, points) in enumerate(norm)
+            for idx, (name, dist, points) in enumerate(instances)
             for spec in families
             for p in p_values]
 
@@ -383,34 +368,3 @@ def rows_to_csv(rows, *, include_times: bool = False) -> str:
     return format_csv(
         [f.name for f in fields(ExperimentRow)],
         (row_values(row, include_times=include_times).values() for row in rows))
-
-
-def profile_series(rows, *, points: int = PROFILE_POINTS) -> dict[str, str]:
-    """Performance-profile tables, one per weight family spec in the rows.
-
-    Each table has two columns (time threshold in seconds, fraction of the
-    family's cells whose relaxation solved within it); thresholds form one
-    shared geometric grid over [1e-4, max observed time] so the curves are
-    comparable. Errored cells count as never solved. Unlike the row table,
-    these depend on measured times and are not byte-stable across reruns.
-    """
-    if points < 2:
-        raise ParameterError(f"need at least 2 grid points, got {points}")
-    groups: dict[str, list[ExperimentRow]] = {}
-    for row in rows:
-        key = row.family if row.param is None else f"{row.family}:{row.param:g}"
-        groups.setdefault(key, []).append(row)
-    times = [row.time_lp for row in rows
-             if not row.error and row.time_lp is not None]
-    top = max([PROFILE_FLOOR * 10.0] + times)
-    grid = np.geomspace(PROFILE_FLOOR, max(top, PROFILE_FLOOR * 10.0), points)
-    tables = {}
-    for key, members in sorted(groups.items()):
-        lines = ["threshold_seconds,fraction_solved"]
-        for t in grid:
-            solved = sum(1 for row in members
-                         if not row.error and row.time_lp is not None
-                         and row.time_lp <= t)
-            lines.append("%.9g,%.9g" % (t, solved / len(members)))
-        tables[key] = "\n".join(lines) + "\n"
-    return tables

@@ -9,8 +9,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParameterError
-from .instance import (CenterSolution, Instance, WeightVector, _frozen_array,
-                       classify_weights, is_free_of_equidistance)
+from .instance import (CenterSolution, DistanceMatrix, Instance, WeightVector,
+                       _frozen_array, classify_weights,
+                       is_free_of_equidistance)
 from .lp_core import INFEASIBLE, LinearProgram, solve_lp
 from .ordered_median import SortPermutation, sorting_permutation
 
@@ -22,10 +23,9 @@ EQUALITY_TOL = 1e-9
 COLLINEAR_RTOL = 1e-9  # |u x v| / s**2 below which a triple counts as collinear
 
 
-def strictness_margin(dist) -> float:
+def strictness_margin(dist: DistanceMatrix) -> float:
     """Default margin for strict certificate inequalities: 1e-6 * (1 + max d)."""
-    d = dist.d if hasattr(dist, "d") else np.asarray(dist, dtype=float)
-    return 1e-6 * (1.0 + float(d.max()))
+    return 1e-6 * (1.0 + float(dist.d.max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +92,12 @@ def make_certificate(inst: Instance, sigma: SortPermutation, alpha,
     return DualCertificate(alpha=alpha, omega=float(omega), sigma=sigma, beta=beta)
 
 
-def ordered_contribution(alpha, sigma: SortPermutation, dist, lam, j: int) -> float:
+def ordered_contribution(alpha, sigma: SortPermutation, dist: DistanceMatrix,
+                         lam: WeightVector, j: int) -> float:
     """Total positive surplus alpha_i - lam_{rank(i)} * d_ij received by point j."""
-    d = dist.d if hasattr(dist, "d") else np.asarray(dist, dtype=float)
-    w = np.asarray(lam.lam if isinstance(lam, WeightVector) else lam, dtype=float)
-    w = w[sigma.rank_of()]
+    w = _point_weights(lam, sigma)
     alpha = np.asarray(alpha, dtype=float)
-    return float(np.maximum(alpha - w * d[:, j], 0.0).sum())
+    return float(np.maximum(alpha - w * dist.d[:, j], 0.0).sum())
 
 
 def verify_certificate(inst: Instance, sol: CenterSolution,

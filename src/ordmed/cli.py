@@ -21,8 +21,7 @@ import numpy as np
 
 from .bench_io import collection_labels, floyd_warshall, format_csv, \
     format_cell, generate_ball, generate_uniform, instance_profile, \
-    parse_pmed, prefix_subsample, profile_series, row_values, rows_to_csv, \
-    run_experiment
+    parse_pmed, prefix_subsample, row_values, rows_to_csv, run_experiment
 from .certificates import search_certificate
 from .clusterability import MIN_BOOTSTRAP
 from .errors import OrdmedError, ParameterError
@@ -66,6 +65,11 @@ def _nonnegative_int(text: str) -> int:
 def _positive_float(text: str) -> float:
     return _number(text, float, lambda v: math.isfinite(v) and v > 0,
                    "a finite positive number")
+
+
+def _nonnegative_float(text: str) -> float:
+    return _number(text, float, lambda v: math.isfinite(v) and v >= 0,
+                   "a finite non-negative number")
 
 
 def _bootstrap_count(text: str) -> int:
@@ -141,9 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of points")
     sp.add_argument("--clusters", type=_positive_int, default=2,
                     help="ball generator: number of clusters")
-    sp.add_argument("--radius", type=float, default=0.1,
+    sp.add_argument("--radius", type=_nonnegative_float, default=0.1,
                     help="ball generator: ball radius")
-    sp.add_argument("--sep", type=float, default=1.0, dest="separation",
+    sp.add_argument("--sep", type=_nonnegative_float, default=1.0,
+                    dest="separation",
                     help="ball generator: minimum distance between cluster centers")
     sp.add_argument("--dim", type=_positive_int, default=2,
                     help="coordinate dimension")
@@ -169,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-times", action="store_true",
                     help="fill the wall-clock time columns (breaks "
                          "byte-identity of reruns)")
-    sp.add_argument("--profile-dir", metavar="DIR",
-                    help="also write per-family performance profiles here")
     return parser
 
 
@@ -324,14 +327,6 @@ def _cmd_experiment(ns: argparse.Namespace) -> int:
         _emit(rows_to_csv(rows, include_times=ns.include_times), ns)
     failures = sum(1 for row in rows if row.error)
     print(f"{len(rows)} rows, {failures} failed", file=sys.stderr)
-    if ns.profile_dir:
-        os.makedirs(ns.profile_dir, exist_ok=True)
-        for key, table in profile_series(rows).items():
-            name = os.path.join(ns.profile_dir,
-                                "profile_%s.csv" % key.replace(":", "_"))
-            with open(name, "w", encoding="utf-8") as fh:
-                fh.write(table)
-            print(f"wrote {name}", file=sys.stderr)
     return 0
 
 

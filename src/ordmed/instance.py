@@ -407,7 +407,9 @@ def read_instance(path) -> tuple[DistanceMatrix, PointSet | None, int, WeightVec
 
     Matrix format: line 1 `m p`; line 2 the m weights; then m matrix rows.
     Coordinate format: line 1 `m n p`; then m rows of n coordinates (the
-    matrix is derived as Euclidean and no weight line is present).
+    matrix is derived as Euclidean and no weight line is present). Blank
+    and `#` comment lines are skipped anywhere; any other line after the
+    data is a ParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln.strip() for ln in fh]
@@ -430,6 +432,9 @@ def read_instance(path) -> tuple[DistanceMatrix, PointSet | None, int, WeightVec
             if len(row) != m:
                 raise ParseError(f"expected {m} entries, got {len(row)}", rno)
             rows.append(row)
+        if len(lines) > 2 + m:
+            raise ParseError(f"trailing row after the {m} matrix rows",
+                             lines[2 + m][0])
         dist = DistanceMatrix(np.array(rows))
         return dist, None, p, WeightVector(np.array(lam))
     if len(parts) == 3:
@@ -442,6 +447,9 @@ def read_instance(path) -> tuple[DistanceMatrix, PointSet | None, int, WeightVec
             if len(row) != n:
                 raise ParseError(f"expected {n} coordinates, got {len(row)}", rno)
             coords.append(row)
+        if len(lines) > 1 + m:
+            raise ParseError(f"trailing row after the {m} coordinate rows",
+                             lines[1 + m][0])
         points = PointSet(np.array(coords))
         return points.distance_matrix(), points, p, None
     raise ParseError("header must be `m p` or `m n p`", no)

@@ -329,7 +329,7 @@ def test_13_benchmark_ingestion(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ("instance,m,p,family,param,v_ip,v_lp,gap_lp,"
-                        "gap_lp_root,recovered,vertex_integral,"
+                        "recovered,vertex_integral,"
                         "time_enumeration,time_lp,dip,dip_pvalue,label_dip,"
                         "label_pvalue,free_of_equidistance,error")
     assert len(lines) == 2

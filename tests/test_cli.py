@@ -334,7 +334,7 @@ class TestExperiment:
                            "--bootstrap", "100", "--json")
         assert code == 0
         rec = json.loads(out.strip().split("\n")[0])
-        assert len(rec) == 19
+        assert len(rec) == 18
         assert rec["recovered"] is True
         assert rec["time_lp"] is None
 
@@ -353,22 +353,6 @@ class TestExperiment:
                            "--subsample", "6", "--bootstrap", "100")
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[1] == "6"
-
-    def test_profile_dir(self, capsys, t1_path, ball_path, tmp_path):
-        prof = tmp_path / "profiles"
-        code, _, err = run(capsys, "experiment",
-                           "--instance", t1_path, "--instance", ball_path,
-                           "--weights", "median", "--weights", "centdian:0.5",
-                           "--p", "1", "--bootstrap", "100",
-                           "--profile-dir", str(prof))
-        assert code == 0
-        names = sorted(f.name for f in prof.iterdir())
-        assert names == ["profile_centdian_0.5.csv", "profile_median.csv"]
-        for name in names:
-            table = (prof / name).read_text().strip().split("\n")
-            assert table[0] == "threshold_seconds,fraction_solved"
-            assert table[-1].endswith(",1")
-            assert f"wrote {prof / name}" in err
 
 
 class TestExitCodes:
@@ -450,6 +434,17 @@ class TestExitCodes:
         assert f"must be {expected}, got '{argv[-1]}'" in err
         assert "invalid" not in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sep", "inf"), ("--sep", "nan"), ("--sep", "-1"),
+        ("--radius", "inf"), ("--radius", "nan"), ("--radius", "-1")])
+    def test_ball_sizes_must_be_finite_and_nonnegative(self, capsys, flag,
+                                                       value):
+        code, out, err = run(capsys, "generate", "ball", "--m", "6",
+                             flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"must be a finite non-negative number, got '{value}'" in err
+
     def test_weights_file_with_a_non_numeric_token(self, capsys, t1_path,
                                                    tmp_path):
         path = tmp_path / "w.txt"
@@ -487,8 +482,8 @@ HELP_FLAGS = {
     "generate": ["--m", "--clusters", "--radius", "--sep", "--dim", "--seed",
                  "--p", "--output"],
     "experiment": ["--instance", "--pmed", "--weights", "--p", "--subsample",
-                   "--seed", "--bootstrap", "--include-times",
-                   "--profile-dir", "--output", "--json"],
+                   "--seed", "--bootstrap", "--include-times", "--output",
+                   "--json"],
 }
 
 

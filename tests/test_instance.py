@@ -12,6 +12,7 @@ from ordmed import (
     Instance,
     LinearProgram,
     ParameterError,
+    ParseError,
     PointSet,
     WeightVector,
     classify_weights,
@@ -305,6 +306,22 @@ class TestInstanceFiles:
         with pytest.raises(Exception) as exc:
             read_instance(path)
         assert "4" in str(exc.value)
+
+    @pytest.mark.parametrize("text, line", [
+        ("3 2 1\n0 0\n1 0\n0 1\n5 5\n6 6\n", 5),
+        ("2 1\n1 1\n0 1\n1 0\n\n# more\n9 9\n", 7),
+    ], ids=["coordinates", "matrix"])
+    def test_trailing_row_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "extra.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^line {line}: trailing row"):
+            read_instance(path)
+
+    def test_blank_and_comment_lines_after_the_data(self, tmp_path):
+        path = tmp_path / "tail.txt"
+        path.write_text("2 1\n1 1\n0 1\n1 0\n\n# end\n   \n")
+        dist, _, p, _ = read_instance(path)
+        assert dist.m == 2 and p == 1
 
 
 def _lp_solution():
