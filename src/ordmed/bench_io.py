@@ -145,6 +145,9 @@ def generate_ball(m: int, p_clusters: int, radius: float, separation: float,
         raise ParameterError(f"dim must be positive, got {dim}")
     rng = np.random.default_rng(seed)
     side = max(1.0, separation * p_clusters)
+    if not np.isfinite(side):
+        raise ParameterError(f"separation {separation} times {p_clusters} "
+                             "clusters overflows the placement cube")
     centers: list[np.ndarray] = []
     tries = 0
     while len(centers) < p_clusters:

@@ -33,8 +33,8 @@ class DualCertificate:
     """A contribution certificate: point budgets alpha, center level omega.
 
     sigma is the sorting permutation of the certified solution's allocation
-    distances, and beta is derived entrywise as the positive part of
-    alpha_i - lam_{rank(i)} * d_ij, never stored independently.
+    distances. beta, the positive part of alpha_i - lam_{rank(i)} * d_ij,
+    is stored but always derived from alpha and sigma by make_certificate.
     """
 
     alpha: np.ndarray
@@ -76,9 +76,10 @@ class Prediction:
     checks: dict
 
 
-def _point_weights(weights: WeightVector, sigma: SortPermutation) -> np.ndarray:
-    # weight seen by point i once sigma places it at its sort position
-    return weights.lam[sigma.rank_of()]
+def _weighted_distances(weights: WeightVector, sigma: SortPermutation,
+                        dist: DistanceMatrix) -> np.ndarray:
+    """wd[i, j] = lam_{rank(i)} * d_ij, with rank(i) point i's place in sigma."""
+    return weights.lam[sigma.rank_of()][:, None] * dist.d
 
 
 def make_certificate(inst: Instance, sigma: SortPermutation, alpha,
@@ -87,17 +88,17 @@ def make_certificate(inst: Instance, sigma: SortPermutation, alpha,
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (inst.m,):
         raise ParameterError(f"alpha must have length {inst.m}")
-    w = _point_weights(inst.weights, sigma)
-    beta = np.maximum(alpha[:, None] - w[:, None] * inst.dist.d, 0.0)
+    wd = _weighted_distances(inst.weights, sigma, inst.dist)
+    beta = np.maximum(alpha[:, None] - wd, 0.0)
     return DualCertificate(alpha=alpha, omega=float(omega), sigma=sigma, beta=beta)
 
 
 def ordered_contribution(alpha, sigma: SortPermutation, dist: DistanceMatrix,
                          lam: WeightVector, j: int) -> float:
     """Total positive surplus alpha_i - lam_{rank(i)} * d_ij received by point j."""
-    w = _point_weights(lam, sigma)
+    wd = _weighted_distances(lam, sigma, dist)
     alpha = np.asarray(alpha, dtype=float)
-    return float(np.maximum(alpha - w * dist.d[:, j], 0.0).sum())
+    return float(np.maximum(alpha - wd[:, j], 0.0).sum())
 
 
 def verify_certificate(inst: Instance, sol: CenterSolution,
@@ -107,9 +108,8 @@ def verify_certificate(inst: Instance, sol: CenterSolution,
     if eps is None:
         eps = strictness_margin(inst.dist)
     m = inst.m
-    d = inst.dist.d
-    w = _point_weights(inst.weights, cert.sigma)
-    surplus = cert.alpha[:, None] - w[:, None] * d
+    surplus = cert.alpha[:, None] - _weighted_distances(inst.weights, cert.sigma,
+                                                        inst.dist)
     contributions = np.maximum(surplus, 0.0).sum(axis=0)
     centers = np.array(sol.centers, dtype=int)
     c_centers = contributions[centers]
@@ -143,52 +143,52 @@ def search_certificate(inst: Instance, sol: CenterSolution, *,
                        ) -> tuple[DualCertificate | None, CertificateVerdict | None]:
     """Search a certificate for sol by LP feasibility; None when none exists.
 
-    Center levels are tied to a single variable omega, member/other sign
-    constraints linearize each center's contribution, and per-non-center
-    surplus variables cap outside contributions at omega. Minimizing omega
-    makes the returned certificate deterministic. With strict=True the
-    inequality blocks must clear the margin eps.
+    alpha_i's box (at least its weighted distance wd to its own center, at
+    most that to any other) is a column bound; an empty box answers None
+    before any solve. One equality row per center ties its members'
+    contribution to omega. A surplus column s_ti >= alpha_t - wd[t, i] and
+    its row exist only where the box lets that surplus be positive, and a
+    cap row keeps non-center i's surplus sum at most omega - margin; the
+    bound omega >= margin stands in for a cap with no surplus column.
+    Minimizing omega makes the certificate deterministic; strict=True sets
+    the margin to eps.
     """
     margin = (eps if eps is not None else strictness_margin(inst.dist)) if strict else 0.0
-    m = inst.m
-    d = inst.dist.d
     sigma = sorting_permutation(sol.distances)
-    w = _point_weights(inst.weights, sigma)
-    centers = list(sol.centers)
+    wd = _weighted_distances(inst.weights, sigma, inst.dist)
+    centers = np.array(sol.centers, dtype=int)
+    assign = np.asarray(sol.assignment, dtype=int)
+    lower = wd[np.arange(inst.m), assign] + margin
+    upper = np.where(centers == assign[:, None], np.inf,
+                     wd[:, centers]).min(axis=1) - margin
+    if (lower > upper).any():
+        return None, None
     lp = LinearProgram("certificate")
-    a_cols = [lp.add_free_variable() for _ in range(m)]
-    omega = lp.add_free_variable(obj=1.0)
+    a_cols = [lp.add_variable(lower=lo, upper=hi)
+              for lo, hi in zip(lower.tolist(), upper.tolist())]
+    non_centers = np.setdiff1d(np.arange(inst.m), centers)
+    omega = lp.add_variable(obj=1.0, lower=margin if non_centers.size else -np.inf)
     for j in centers:
-        members = [i for i in range(m) if sol.assignment[i] == j]
+        members = np.flatnonzero(assign == j)
         coeffs = {a_cols[i]: 1.0 for i in members}
         coeffs[omega] = -1.0
-        rhs = float(sum(w[i] * d[i, j] for i in members))
-        lp.add_row(coeffs, "=", rhs)
-    for i in range(m):
-        j = sol.assignment[i]
-        lp.add_row({a_cols[i]: 1.0}, ">=", float(w[i] * d[i, j]) + margin)
-        for jp in centers:
-            if jp != j:
-                lp.add_row({a_cols[i]: 1.0}, "<=", float(w[i] * d[i, jp]) - margin)
-    for i in range(m):
-        if i in sol.centers:
-            continue
-        s_cols = [lp.add_variable() for _ in range(m)]
-        for t in range(m):
-            lp.add_row({s_cols[t]: 1.0, a_cols[t]: -1.0}, ">=",
-                       -float(w[t] * d[t, i]))
-        coeffs = dict.fromkeys(s_cols, 1.0)
-        coeffs[omega] = -1.0
-        lp.add_row(coeffs, "<=", -margin)
+        lp.add_row(coeffs, "=", float(wd[members, j].sum()))
+    for i in non_centers:
+        cap = {}
+        for t in np.flatnonzero(wd[:, i] < upper):
+            s = lp.add_variable()
+            lp.add_row({s: 1.0, a_cols[t]: -1.0}, ">=", -float(wd[t, i]))
+            cap[s] = 1.0
+        if cap:
+            cap[omega] = -1.0
+            lp.add_row(cap, "<=", -margin)
     lp_sol = solve_lp(lp)
     if lp_sol.status == INFEASIBLE:
         return None, None
     if not lp_sol.is_optimal():
         raise ParameterError(f"certificate search ended {lp_sol.status}")
-    alpha = lp_sol.x[a_cols]
-    cert = make_certificate(inst, sigma, alpha, float(lp_sol.x[omega]))
-    verdict = verify_certificate(inst, sol, cert, eps)
-    return cert, verdict
+    cert = make_certificate(inst, sigma, lp_sol.x[a_cols], float(lp_sol.x[omega]))
+    return cert, verify_certificate(inst, sol, cert, eps)
 
 
 def check_single_center(inst: Instance, j: int) -> bool:
@@ -205,8 +205,7 @@ def check_single_center(inst: Instance, j: int) -> bool:
         warnings.warn("tied distances: the single-center test keeps its "
                       "sufficient direction only", stacklevel=2)
     d = inst.dist.d
-    sigma = sorting_permutation(d[:, j])
-    w = _point_weights(inst.weights, sigma)
+    w = inst.weights.lam[sorting_permutation(d[:, j]).rank_of()]
     totals = w @ d
     return bool(totals[j] <= totals.min() + 1e-12)
 

@@ -7,12 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, SizeGuardError
+from .errors import ParameterError, SizeGuardError
 from .instance import DistanceMatrix
 
 MDS_THRESHOLD = 60
-MDS_TOL = 1e-10
-MDS_MAX_ITER = 10**4
 MIN_BOOTSTRAP = 100  # fewest resamples dip_pvalue accepts
 HIGH = "High"
 LOW = "Low"
@@ -205,11 +203,10 @@ def dip_pvalue(sample, bootstrap: int = 1000, seed: int = 0) -> float:
 def mds_1d(dist: DistanceMatrix) -> np.ndarray:
     """Project a distance matrix to the line by classical scaling.
 
-    Double-centers the entrywise-squared matrix and extracts its leading
-    eigenpair by power iteration on a Frobenius-shifted copy (the shift
-    keeps the iteration aimed at the algebraically largest eigenvalue).
-    Coordinates are sqrt(lambda_1) times the eigenvector, sign-fixed so the
-    largest-magnitude coordinate is positive.
+    Double-centers the entrywise-squared matrix and takes its leading
+    eigenpair (the algebraically largest eigenvalue) from a symmetric
+    eigendecomposition. Coordinates are sqrt(lambda_1) times the
+    eigenvector, sign-fixed so the largest-magnitude coordinate is positive.
     """
     d = dist.d
     m = d.shape[0]
@@ -220,22 +217,8 @@ def mds_1d(dist: DistanceMatrix) -> np.ndarray:
     scale = float(np.linalg.norm(b))
     if scale == 0.0:
         return np.zeros(m)
-    shifted = b + scale * np.eye(m)
-    vec = np.random.default_rng(1729).standard_normal(m)
-    vec /= np.linalg.norm(vec)
-    for iteration in range(1, MDS_MAX_ITER + 1):
-        nxt = shifted @ vec
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            break
-        vec = nxt / norm
-        theta = float(vec @ (shifted @ vec))
-        residual = float(np.linalg.norm(shifted @ vec - theta * vec))
-        if residual <= MDS_TOL * (1.0 + abs(theta)):
-            break
-    else:
-        raise ConvergenceError("leading eigenpair did not converge", MDS_MAX_ITER)
-    lam1 = float(vec @ (b @ vec))
+    eigenvalues, eigenvectors = np.linalg.eigh(b)
+    lam1, vec = float(eigenvalues[-1]), eigenvectors[:, -1]
     if lam1 < -1e-9 * scale:
         warnings.warn(f"leading eigenvalue {lam1:.3e} clamped to 0; the matrix "
                       "is not Euclidean-embeddable", stacklevel=2)

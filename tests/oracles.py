@@ -152,6 +152,49 @@ def full_bep_lp(inst):
     return lp
 
 
+def full_certificate_lp(inst, sol, margin):
+    """The certificate program with every row spelled out, whatever the box.
+
+    Columns 0..m-1 are the free budgets alpha and column m is omega (cost
+    1). One equality row per center, one single-variable row per bound of
+    each alpha's box, and for every non-center i a surplus column
+    s_ti >= alpha_t - w_t d_ti for every point t with one cap row
+    sum_t s_ti - omega <= -margin: the program search_certificate prunes,
+    kept here as its differential reference.
+    """
+    from ordmed import LinearProgram, sorting_permutation
+
+    m, d = inst.m, inst.dist.d
+    w = inst.weights.lam[sorting_permutation(sol.distances).rank_of()]
+    centers = list(sol.centers)
+    lp = LinearProgram("full_certificate")
+    a_cols = [lp.add_free_variable() for _ in range(m)]
+    omega = lp.add_free_variable(obj=1.0)
+    for j in centers:
+        members = [i for i in range(m) if sol.assignment[i] == j]
+        coeffs = {a_cols[i]: 1.0 for i in members}
+        coeffs[omega] = -1.0
+        rhs = float(sum(w[i] * d[i, j] for i in members))
+        lp.add_row(coeffs, "=", rhs)
+    for i in range(m):
+        j = sol.assignment[i]
+        lp.add_row({a_cols[i]: 1.0}, ">=", float(w[i] * d[i, j]) + margin)
+        for jp in centers:
+            if jp != j:
+                lp.add_row({a_cols[i]: 1.0}, "<=", float(w[i] * d[i, jp]) - margin)
+    for i in range(m):
+        if i in sol.centers:
+            continue
+        s_cols = [lp.add_variable() for _ in range(m)]
+        for t in range(m):
+            lp.add_row({s_cols[t]: 1.0, a_cols[t]: -1.0}, ">=",
+                       -float(w[t] * d[t, i]))
+        coeffs = dict.fromkeys(s_cols, 1.0)
+        coeffs[omega] = -1.0
+        lp.add_row(coeffs, "<=", -margin)
+    return lp
+
+
 def lp_vertex_oracle(c, rows, rels, b, upper, lower=None):
     """Exact LP minimum over lower <= x <= upper by rational active-set search.
 

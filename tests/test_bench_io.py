@@ -169,6 +169,11 @@ class TestGenerators:
                            match="must be finite and nonnegative"):
             generate_ball(6, 2, radius, separation)
 
+    def test_ball_separation_overflowing_the_cube(self):
+        # 1e308 is finite, but 3 clusters times it is not
+        with pytest.raises(ParameterError, match="overflows"):
+            generate_ball(6, 3, 0.1, 1e308)
+
     def test_uniform_basic(self):
         pts, dist = generate_uniform(9, seed=5)
         assert pts.m == 9

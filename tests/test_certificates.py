@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+import ordmed.certificates
 from ordmed import (
     MEDIAN_SINGLE_RECOVERS,
     NEVER_RECOVERS,
     UNKNOWN,
+    CenterSolution,
     Instance,
     ParameterError,
     WeightVector,
     check_single_center,
     classify_weights,
+    closest_allocation,
     conic_combine,
     has_collinear_triple,
     is_free_of_equidistance,
@@ -23,13 +26,17 @@ from ordmed import (
     restrict_instance,
     search_certificate,
     solve_enumeration,
+    solve_lp,
     sorting_permutation,
     strictness_margin,
     verify_certificate,
 )
-from ordmed.bench_io import generate_ball
+from ordmed.bench_io import (data_path, floyd_warshall, generate_ball,
+                             generate_uniform, parse_pmed, prefix_subsample)
+from ordmed.lp_core import INFEASIBLE
 
 from helpers import matrix_instance, planar_instance, random_instance, t1_instance
+from oracles import full_certificate_lp
 
 
 @pytest.fixture
@@ -172,6 +179,70 @@ class TestSearchCertificate:
             sub_rep = recovery_status(sub)
             assert sub_rep.recovered
             assert check_single_center(sub, sol.group(j).index(j))
+
+
+def full_search(inst, sol, strict):
+    """search_certificate's answer, read off the unpruned program."""
+    margin = strictness_margin(inst.dist) if strict else 0.0
+    lp_sol = solve_lp(full_certificate_lp(inst, sol, margin))
+    if lp_sol.status == INFEASIBLE:
+        return None, None
+    sigma = sorting_permutation(sol.distances)
+    cert = make_certificate(inst, sigma, lp_sol.x[:inst.m], lp_sol.x[inst.m])
+    return cert, verify_certificate(inst, sol, cert)
+
+
+def differential_corpus():
+    """(instance, solution) pairs: p = 1, ties, non-optimal and non-closest."""
+    for seed in range(2):
+        pts, dist = generate_uniform(9, seed=seed)
+        for spec in ("median", "center", "ksum:2", "centdian:0.3"):
+            for p in (1, 2, 3):
+                inst = Instance(dist, resolve_weights(spec, 9), p, points=pts)
+                yield inst, solve_enumeration(inst)
+    tied = prefix_subsample(floyd_warshall(parse_pmed(data_path("pmed1.txt"))), 10)
+    for spec in ("median", "center", "ksum:2", "centdian:0.7"):
+        for p in (1, 2, 3):
+            inst = Instance(tied, resolve_weights(spec, 10), p)
+            yield inst, solve_enumeration(inst)
+            yield inst, closest_allocation(tied, range(p, 2 * p), inst.weights)
+    # point 2 served by the farther of two centers: an empty alpha box
+    inst = t1_instance("median", p=2)
+    yield inst, CenterSolution((0, 4), (0, 0, 4, 4, 4),
+                               np.array([0.0, 1.0, 9.0, 5.0, 0.0]), 15.0)
+
+
+class TestCertificateProgram:
+    def test_pruned_program_matches_the_full_program(self):
+        for inst, sol in differential_corpus():
+            for strict in (False, True):
+                cert, verdict = search_certificate(inst, sol, strict=strict)
+                ref, ref_verdict = full_search(inst, sol, strict)
+                assert (cert is None) == (ref is None)
+                if cert is None:
+                    continue
+                assert verdict.holds == ref_verdict.holds
+                assert verdict.strict == ref_verdict.strict
+                assert abs(cert.omega - ref.omega) <= 1e-9 * (1.0 + abs(ref.omega))
+
+    def test_no_row_holds_a_single_variable(self, monkeypatch):
+        programs = []
+
+        def capture(lp):
+            programs.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(ordmed.certificates, "solve_lp", capture)
+        pts, dist = generate_ball(24, 4, 0.5, 6.0, seed=0)
+        for spec in ("center", "median"):
+            inst = Instance(dist, resolve_weights(spec, 24), 4, points=pts)
+            search_certificate(inst, solve_enumeration(inst))
+        center, median = programs
+        for lp in programs:
+            assert all(len(coeffs) > 1 for coeffs, _, _ in lp.rows)
+        # the unpruned program has 600 rows here, the surplus ones 480
+        assert center.n_rows < 60
+        assert median.n_rows < 600
 
 
 class TestCheckSingleCenter:

@@ -366,6 +366,14 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_separation_overflowing_the_placement_cube(self, capsys):
+        # a finite --sep times --clusters overflowed to inf in the center draw
+        code, out, err = run(capsys, "generate", "ball", "--m", "6",
+                             "--clusters", "3", "--sep", "1e308")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
+
     def test_experiment_without_inputs(self, capsys):
         code, _, err = run(capsys, "experiment", "--weights", "median")
         assert code == 1

@@ -225,6 +225,20 @@ class TestMds1d:
                   np.max(np.abs(coords + centered)))
         assert err <= 1e-8
 
+    @pytest.mark.parametrize("stretch", [1.001, 1.0001])
+    def test_near_isotropic_ellipse(self, stretch):
+        # the two leading eigenvalues differ by 0.2% or less, which stalled a
+        # shifted power iteration; the long axis must come out all the same
+        theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        coords = np.column_stack([np.cos(theta), stretch * np.sin(theta)])
+        dist = DistanceMatrix(np.linalg.norm(coords[:, None] - coords[None],
+                                             axis=2))
+        got = mds_1d(dist)
+        long_axis = coords[:, 1] - coords[:, 1].mean()
+        err = min(np.max(np.abs(got - long_axis)),
+                  np.max(np.abs(got + long_axis)))
+        assert err <= 1e-6
+
 
 class TestClusterabilitySample:
     def test_small_instance_uses_distances(self):
