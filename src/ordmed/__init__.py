@@ -16,9 +16,9 @@ from .certificates import (MEDIAN_SINGLE_RECOVERS, NEVER_RECOVERS, UNKNOWN,
                            ordered_contribution, predict_non_recovery,
                            search_certificate, strictness_margin,
                            verify_certificate)
-from .clusterability import (ClusterabilityLabel, DipResult,
-                             classify_collection, clusterability_sample,
-                             dip_pvalue, dip_statistic, mds_1d)
+from .clusterability import (DipResult, classify_collection,
+                             clusterability_sample, dip_pvalue, dip_statistic,
+                             mds_1d)
 from .errors import (ConvergenceError, OrdmedError, ParameterError,
                      ParseError, SizeGuardError)
 from .exact import (RecoveryReport, recovery_status, solve_enumeration)

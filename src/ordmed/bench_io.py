@@ -232,34 +232,34 @@ class ExperimentRow:
     error: str = ""
 
 
-def collection_labels(entries) -> list[tuple[str, str]]:
-    """(dip-stat label, dip-pvalue label) per (id, dip, p-value) entry.
+def profile_instances(dists, *, bootstrap: int, seed: int,
+                      mode: str = "auto") -> list[tuple]:
+    """(dip, dip p-value, dip-stat label, dip-pvalue label) per distance matrix.
 
-    Labels rank an entry against the other entries that have a dip. An entry
-    whose dip is None, and every entry when fewer than two have a dip, gets
-    blanks.
+    Instance k bootstraps its p-value with seed + k, so the clusterability
+    and experiment commands give equal inputs equal p-values. An instance
+    whose dip cannot be computed (a sample of fewer than 2 values, a negative
+    seed) gets None for both values and blank labels. Labels rank each
+    instance against the others that have a dip; with fewer than two such
+    instances they stay blank.
     """
-    labels = [("", "")] * len(entries)
-    scored = [k for k, entry in enumerate(entries) if entry[1] is not None]
+    profiles = []
+    for k, dist in enumerate(dists):
+        try:
+            sample = clusterability_sample(dist, mode=mode)
+            profiles.append((dip_statistic(sample).dip,
+                             dip_pvalue(sample, bootstrap=bootstrap, seed=seed + k)))
+        except OrdmedError:
+            profiles.append((None, None))
+    labels = [("", "")] * len(profiles)
+    scored = [k for k, (dip, _) in enumerate(profiles) if dip is not None]
     if len(scored) >= 2:
-        kept = [entries[k] for k in scored]
+        dips, pvalues = zip(*(profiles[k] for k in scored))
         for k, by_dip, by_pvalue in zip(
-                scored, classify_collection(kept, basis="dip-stat"),
-                classify_collection(kept, basis="dip-pvalue")):
-            labels[k] = (by_dip.label, by_pvalue.label)
-    return labels
-
-
-def instance_profile(dist: DistanceMatrix, *, bootstrap: int, seed: int,
-                     mode: str = "auto") -> tuple[float, float]:
-    """(dip, dip p-value) of one instance's clusterability sample.
-
-    A batch bootstraps its instance idx with seed + idx, so equal inputs get
-    equal p-values from the clusterability and experiment commands.
-    """
-    sample = clusterability_sample(dist, mode=mode)
-    dip = dip_statistic(sample).dip
-    return dip, dip_pvalue(sample, bootstrap=bootstrap, seed=seed)
+                scored, classify_collection(dips, basis="dip-stat"),
+                classify_collection(pvalues, basis="dip-pvalue")):
+            labels[k] = (by_dip, by_pvalue)
+    return [profile + label for profile, label in zip(profiles, labels)]
 
 
 def _run_cell(dist, points, spec, p):
@@ -289,27 +289,16 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
     families: weight spec strings for resolve_weights. Cell failures are
     caught and recorded in-row, under the spec's family name (blank when the
     spec does not parse); the batch always completes. Rows come back in
-    input order (instance, then family, then p). Instance idx bootstraps its
-    dip p-value with seed + idx; where its dip cannot be computed (a
-    negative seed, say) the dip columns stay empty. Clusterability labels
-    are computed across the instances with a dip and repeated on each of an
-    instance's rows; with fewer than two such instances they stay empty.
+    input order (instance, then family, then p). The dip columns and labels
+    come from profile_instances and repeat on each of an instance's rows.
     """
-    profiles = []
-    for idx, (_, dist, _) in enumerate(instances):
-        try:
-            profiles.append(instance_profile(dist, bootstrap=bootstrap,
-                                             seed=seed + idx))
-        except OrdmedError:
-            profiles.append((None, None))
-    labels = collection_labels([(name, dip, pval) for (name, _, _), (dip, pval)
-                                in zip(instances, profiles)])
     shared = [  # the fields every row of one instance repeats
         {"dip": dip, "dip_pvalue": pval, "label_dip": label_dip,
          "label_pvalue": label_pvalue,
          "free_of_equidistance": is_free_of_equidistance(dist)}
-        for (_, dist, _), (dip, pval), (label_dip, label_pvalue)
-        in zip(instances, profiles, labels)]
+        for (_, dist, _), (dip, pval, label_dip, label_pvalue) in zip(
+            instances, profile_instances([dist for _, dist, _ in instances],
+                                         bootstrap=bootstrap, seed=seed))]
 
     def solve(idx, name, dist, points, spec, p):
         family = ""

@@ -24,8 +24,8 @@ COLLINEAR_RTOL = 1e-9  # |u x v| / s**2 below which a triple counts as collinear
 
 
 def strictness_margin(dist: DistanceMatrix) -> float:
-    """Default margin for strict certificate inequalities: 1e-6 * (1 + max d)."""
-    return 1e-6 * (1.0 + float(dist.d.max()))
+    """Default margin for strict certificate inequalities: 1e-6 * max d."""
+    return 1e-6 * float(dist.d.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,12 +104,17 @@ def ordered_contribution(alpha, sigma: SortPermutation, dist: DistanceMatrix,
 def verify_certificate(inst: Instance, sol: CenterSolution,
                        cert: DualCertificate,
                        eps: float | None = None) -> CertificateVerdict:
-    """Check the four certificate conditions at sol and report worst slacks."""
+    """Check the four certificate conditions at sol and report worst slacks.
+
+    Slacks are judged against EQUALITY_TOL * max |wd|, so a verdict does not
+    depend on the unit of distance.
+    """
     if eps is None:
         eps = strictness_margin(inst.dist)
     m = inst.m
-    surplus = cert.alpha[:, None] - _weighted_distances(inst.weights, cert.sigma,
-                                                        inst.dist)
+    wd = _weighted_distances(inst.weights, cert.sigma, inst.dist)
+    tol = EQUALITY_TOL * float(np.abs(wd).max())
+    surplus = cert.alpha[:, None] - wd
     contributions = np.maximum(surplus, 0.0).sum(axis=0)
     centers = np.array(sol.centers, dtype=int)
     c_centers = contributions[centers]
@@ -126,11 +131,10 @@ def verify_certificate(inst: Instance, sol: CenterSolution,
         nonmember_slack = float((-surplus[:, centers])[others].min())
     else:
         nonmember_slack = np.inf
-    holds = bool(center_dev <= EQUALITY_TOL
-                 and min(noncenter_slack, member_slack, nonmember_slack)
-                 >= -EQUALITY_TOL)
-    strict = bool(holds and min(noncenter_slack, member_slack,
-                                nonmember_slack) >= eps - EQUALITY_TOL)
+    holds = bool(center_dev <= tol
+                 and min(noncenter_slack, member_slack, nonmember_slack) >= -tol)
+    strict = bool(holds and eps > 0 and min(noncenter_slack, member_slack,
+                                            nonmember_slack) >= eps - tol)
     return CertificateVerdict(holds=holds, strict=strict,
                               center_equality_deviation=center_dev,
                               noncenter_slack=noncenter_slack,

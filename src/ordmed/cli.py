@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .bench_io import collection_labels, floyd_warshall, format_csv, \
-    format_cell, generate_ball, generate_uniform, instance_profile, \
-    parse_pmed, prefix_subsample, row_values, rows_to_csv, run_experiment
+from .bench_io import floyd_warshall, format_csv, format_cell, \
+    generate_ball, generate_uniform, parse_pmed, prefix_subsample, \
+    profile_instances, row_values, rows_to_csv, run_experiment
 from .certificates import search_certificate
 from .clusterability import MIN_BOOTSTRAP
 from .errors import OrdmedError, ParameterError
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strict", action="store_true",
                     help="demand strict inequalities by a positive margin")
     sp.add_argument("--eps", type=_positive_float,
-                    help="strictness margin (default: 1e-6 * (1 + max distance))")
+                    help="strictness margin (default: 1e-6 * max distance)")
 
     sp = sub.add_parser("clusterability",
                         help="dip statistic, p-value, and collection labels")
@@ -276,14 +276,14 @@ def _cmd_certify(ns: argparse.Namespace) -> int:
 def _cmd_clusterability(ns: argparse.Namespace) -> int:
     if not ns.instance:
         raise OrdmedError("clusterability needs at least one --instance")
-    entries = []
-    for k, path in enumerate(ns.instance):
-        dist = _read(path, ns.subsample)[0]
-        entries.append((path, *instance_profile(
-            dist, bootstrap=ns.bootstrap, seed=ns.seed + k,
-            mode=ns.sample_mode)))
-    rows = [entry + labels
-            for entry, labels in zip(entries, collection_labels(entries))]
+    profiles = profile_instances(
+        [_read(path, ns.subsample)[0] for path in ns.instance],
+        bootstrap=ns.bootstrap, seed=ns.seed, mode=ns.sample_mode)
+    rows = [(path, *profile) for path, profile in zip(ns.instance, profiles)]
+    for path, dip, *_ in rows:
+        if dip is None:
+            raise OrdmedError(f"{path}: cannot profile this instance; the "
+                              "dip statistic needs at least 2 values")
     if ns.json_lines:
         _emit(_json_lines(dict(zip(_CLUSTERABILITY_HEADER, row))
                           for row in rows), ns)

@@ -27,14 +27,6 @@ class DipResult:
     modal_high: float
 
 
-@dataclass(frozen=True)
-class ClusterabilityLabel:
-    """Collection-relative verdict: High/Low tails by quantile, Middle otherwise."""
-
-    label: str
-    basis: str
-
-
 def dip_statistic(sample) -> DipResult:
     """Sup-distance between the sample ECDF and the nearest unimodal CDF.
 
@@ -207,6 +199,9 @@ def mds_1d(dist: DistanceMatrix) -> np.ndarray:
     eigenpair (the algebraically largest eigenvalue) from a symmetric
     eigendecomposition. Coordinates are sqrt(lambda_1) times the
     eigenvector, sign-fixed so the largest-magnitude coordinate is positive.
+    A negative lambda_1 is clamped to 0 with a warning; that needs a matrix
+    both asymmetric and with a nonzero diagonal, since symmetry gives B 1 = 0
+    (0 is an eigenvalue) and a zero diagonal gives trace B = sum d^2 / 2m.
     """
     d = dist.d
     m = d.shape[0]
@@ -244,25 +239,20 @@ def clusterability_sample(dist: DistanceMatrix, mode: str = "auto") -> np.ndarra
     return mds_1d(dist)
 
 
-def classify_collection(entries, basis: str = "dip-stat") -> list[ClusterabilityLabel]:
-    """Label each (id, dip, p-value) entry against the collection quantiles.
+def classify_collection(values, basis: str = "dip-stat") -> list[str]:
+    """Label each value against the collection quantiles: High, Low or Middle.
 
-    dip-stat basis: dip at or above the 95% quantile is High, at or below
-    the 5% quantile is Low. dip-pvalue basis mirrors this on p-values with
-    the tails swapped. Entries caught by both tails (possible when the
-    quantiles coincide) stay Middle.
+    dip-stat basis (values are dips): at or above the 95% quantile is High,
+    at or below the 5% quantile is Low. dip-pvalue basis (values are
+    p-values) mirrors this with the tails swapped. Values caught by both
+    tails (possible when the quantiles coincide) stay Middle.
     """
-    entries = list(entries)
-    if len(entries) < 2:
-        raise ParameterError("need at least 2 entries to classify")
-    if basis == "dip-stat":
-        values = np.array([e[1] for e in entries], dtype=float)
-        hi_is_high = True
-    elif basis == "dip-pvalue":
-        values = np.array([e[2] for e in entries], dtype=float)
-        hi_is_high = False
-    else:
+    values = np.array(values, dtype=float)
+    if len(values) < 2:
+        raise ParameterError("need at least 2 values to classify")
+    if basis not in ("dip-stat", "dip-pvalue"):
         raise ParameterError(f"unknown basis {basis!r}")
+    hi_is_high = basis == "dip-stat"
     lo = float(np.quantile(values, 0.05))
     hi = float(np.quantile(values, 0.95))
     labels = []
@@ -277,5 +267,5 @@ def classify_collection(entries, basis: str = "dip-stat") -> list[Clusterability
             label = LOW if hi_is_high else HIGH
         else:
             label = MIDDLE
-        labels.append(ClusterabilityLabel(label=label, basis=basis))
+        labels.append(label)
     return labels

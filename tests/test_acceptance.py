@@ -302,8 +302,7 @@ def test_12_clusterability_effect():
         instances.append(("uniform", pts, dist))
     dips = [dip_statistic(clusterability_sample(dist)).dip
             for _, _, dist in instances]
-    labels = [lab.label for lab in classify_collection(
-        [(i, dip, 0.0) for i, dip in enumerate(dips)], basis="dip-stat")]
+    labels = classify_collection(dips, basis="dip-stat")
     assert "High" in labels and "Low" in labels
     for spec in ("center", "ksum:7", "centdian:0.5"):
         weights = resolve_weights(spec, 14)

@@ -9,8 +9,10 @@ from ordmed import (
     NEVER_RECOVERS,
     UNKNOWN,
     CenterSolution,
+    DistanceMatrix,
     Instance,
     ParameterError,
+    PointSet,
     WeightVector,
     check_single_center,
     classify_weights,
@@ -139,7 +141,16 @@ class TestSearchCertificate:
         assert verdict.strict
 
     def test_margin_scales_with_distances(self):
-        assert strictness_margin(t1_instance().dist) == pytest.approx(1.3e-5)
+        assert strictness_margin(t1_instance().dist) == pytest.approx(1.2e-5)
+
+    def test_coincident_points_are_never_strict(self):
+        # max d = 0 makes the default margin 0, and a zero margin pins no
+        # unique optimum: every center set is optimal here
+        inst = Instance(DistanceMatrix(np.zeros((4, 4))),
+                        resolve_weights("median", 4), 2)
+        _, verdict = search_certificate(inst, solve_enumeration(inst),
+                                        strict=True)
+        assert verdict is None or not verdict.strict
 
     def test_soundness_random_suite(self):
         rng = np.random.default_rng(53)
@@ -243,6 +254,34 @@ class TestCertificateProgram:
         # the unpruned program has 600 rows here, the surplus ones 480
         assert center.n_rows < 60
         assert median.n_rows < 600
+
+
+class TestUnitInvariance:
+    # found, holds and strict must not move when only the unit of distance
+    # does. The first five cells move under an absolute equality tolerance
+    # and a margin of 1e-6 * (1 + max d); the last is a control.
+    @pytest.mark.parametrize("gen, seed, scale", [
+        ("ball", 0, 1e8), ("ball", 2, 1e8), ("ball", 2, 1e-4),
+        ("uniform", 3, 1e-4), ("uniform", 2, 1e8), ("uniform", 1, 1e2)])
+    def test_flags_do_not_depend_on_the_unit(self, gen, seed, scale):
+        if gen == "ball":
+            points, _ = generate_ball(12, 3, 0.5, 4.0, seed=seed)
+        else:
+            points, _ = generate_uniform(12, seed=seed)
+
+        def flags(s):
+            pts = PointSet(points.coords * s)
+            inst = Instance(pts.distance_matrix(), resolve_weights("median", 12),
+                            3, pts)
+            sol = solve_enumeration(inst)
+            out = []
+            for strict in (False, True):
+                cert, verdict = search_certificate(inst, sol, strict=strict)
+                out.append((cert is not None, verdict and verdict.holds,
+                            verdict and verdict.strict))
+            return out
+
+        assert flags(scale) == flags(1.0)
 
 
 class TestCheckSingleCenter:

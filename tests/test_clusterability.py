@@ -1,5 +1,7 @@
 """Dip statistic, bootstrap p-values, 1-D embedding, collection labels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,26 @@ class TestMds1d:
         assert err <= 1e-6
 
 
+    def test_negative_leading_eigenvalue_warns_and_clamps(self):
+        # asymmetric with a nonzero diagonal: the only inputs that can reach
+        # the clamp
+        dist = DistanceMatrix([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.warns(UserWarning, match="-4.255e-02 clamped to 0"):
+            coords = mds_1d(dist)
+        assert np.all(coords == 0.0)
+
+    def test_clamp_needs_asymmetry_and_a_nonzero_diagonal(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            d = rng.uniform(0.0, 1.0, (6, 6))
+            symmetric = d + d.T
+            hollow = d.copy()
+            np.fill_diagonal(hollow, 0.0)
+            for matrix in (symmetric, hollow):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    mds_1d(DistanceMatrix(matrix))
+
 class TestClusterabilitySample:
     def test_small_instance_uses_distances(self):
         sample = clusterability_sample(line_matrix([0.0, 1.0, 3.0, 7.0, 12.0]))
@@ -262,40 +284,32 @@ class TestClusterabilitySample:
 
 
 class TestClassifyCollection:
-    def entries(self, dips, pvals=None):
-        pvals = pvals if pvals is not None else [0.5] * len(dips)
-        return [(f"i{k}", d, p) for k, (d, p) in enumerate(zip(dips, pvals))]
-
     def test_dip_tails(self):
         dips = [0.02 + 0.001 * k for k in range(20)]
-        labels = classify_collection(self.entries(dips))
-        assert labels[-1].label == HIGH
-        assert labels[0].label == LOW
-        assert all(l.label == MIDDLE for l in labels[1:-1])
-        assert all(l.basis == "dip-stat" for l in labels)
+        labels = classify_collection(dips)
+        assert labels[-1] == HIGH
+        assert labels[0] == LOW
+        assert all(label == MIDDLE for label in labels[1:-1])
 
     def test_pvalue_basis_is_mirrored(self):
         pvals = [0.01 * (k + 1) for k in range(20)]
-        labels = classify_collection(self.entries([0.1] * 20, pvals),
-                                     basis="dip-pvalue")
-        assert labels[0].label == HIGH  # smallest p-value: most clusterable
-        assert labels[-1].label == LOW
+        labels = classify_collection(pvals, basis="dip-pvalue")
+        assert labels[0] == HIGH  # smallest p-value: most clusterable
+        assert labels[-1] == LOW
 
     def test_identical_entries_sit_in_the_middle(self):
-        labels = classify_collection(self.entries([0.1, 0.1]))
-        assert [l.label for l in labels] == [MIDDLE, MIDDLE]
+        assert classify_collection([0.1, 0.1]) == [MIDDLE, MIDDLE]
 
     def test_two_distinct_entries_split(self):
-        labels = classify_collection(self.entries([0.05, 0.2]))
-        assert [l.label for l in labels] == [LOW, HIGH]
+        assert classify_collection([0.05, 0.2]) == [LOW, HIGH]
 
     def test_needs_two_entries(self):
         with pytest.raises(ParameterError):
-            classify_collection(self.entries([0.1]))
+            classify_collection([0.1])
 
     def test_bad_basis(self):
         with pytest.raises(ParameterError):
-            classify_collection(self.entries([0.1, 0.2]), basis="mass")
+            classify_collection([0.1, 0.2], basis="mass")
 
 
 class TestSeparationEffect:

@@ -275,14 +275,43 @@ class TestRecoveryStatus:
         with pytest.raises(ConvergenceError, match="residual"):
             recovery_status(t1_instance("median", p=1))
 
-    def test_stored_value_off_the_vertex_raises(self, monkeypatch):
-        # check_solution works from x and y only, so a stored value that
-        # disagrees with obj . x must be caught before it becomes v_lp.
+    def test_stored_value_never_reaches_v_lp(self, monkeypatch):
+        # v_lp is obj . x at the checked vertex, so a stored value that
+        # disagrees with the vertex changes no number and no verdict.
         solve = ordmed.exact.solve_lp
 
         def misvalued(lp):
             return dataclasses.replace(solve(lp), value=17.0)
 
         monkeypatch.setattr(ordmed.exact, "solve_lp", misvalued)
-        with pytest.raises(ConvergenceError, match="value"):
-            recovery_status(t1_instance("median", p=1))
+        report = recovery_status(t1_instance("median", p=1))
+        assert report.v_lp == report.v_ip == 18.0
+        assert report.recovered and report.gap_lp == 0.0
+
+
+def scaled_cell(seed, spec, scale):
+    """m = 10, p = 3: balls (radius 0.5, separation 4) at odd seeds, uniform
+    points at even seeds, every coordinate multiplied by scale."""
+    if seed % 2:
+        points, _ = generate_ball(10, 3, 0.5, 4.0, seed=seed)
+    else:
+        points, _ = generate_uniform(10, seed=seed)
+    points = PointSet(points.coords * scale)
+    return Instance(points.distance_matrix(), resolve_weights(spec, 10), 3, points)
+
+
+class TestUnitInvariance:
+    # A verdict must not move when only the unit of distance does. The first
+    # six cells flip or raise ConvergenceError under absolute tolerances; the
+    # last two are controls.
+    @pytest.mark.parametrize("seed, spec, scale", [
+        (3, "median", 1e6), (3, "center", 1e5), (6, "ksum:3", 1e6),
+        (9, "centdian:0.2", 1e5), (7, "centdian:0.5", 1e-4),
+        (8, "centdian:0.5", 1e-4), (1, "median", 1e-4), (2, "ksum:3", 1e2)])
+    def test_verdict_does_not_depend_on_the_unit(self, seed, spec, scale):
+        base = recovery_status(scaled_cell(seed, spec, 1.0))
+        report = recovery_status(scaled_cell(seed, spec, scale))
+        assert report.recovered == base.recovered
+        assert report.vertex_integral == base.vertex_integral
+        assert report.v_lp == pytest.approx(base.v_lp * scale, rel=1e-9)
+        assert report.v_ip == pytest.approx(base.v_ip * scale, rel=1e-12)
