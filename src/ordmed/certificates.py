@@ -21,6 +21,7 @@ UNKNOWN = "Unknown"
 
 EQUALITY_TOL = 1e-9
 COLLINEAR_RTOL = 1e-9  # |u x v| / s**2 below which a triple counts as collinear
+SINGLE_CENTER_RTOL = 1e-12  # weighted-sum gap, over max |sum|, that still ties
 
 
 def strictness_margin(dist: DistanceMatrix) -> float:
@@ -211,7 +212,7 @@ def check_single_center(inst: Instance, j: int) -> bool:
     d = inst.dist.d
     w = inst.weights.lam[sorting_permutation(d[:, j]).rank_of()]
     totals = w @ d
-    return bool(totals[j] <= totals.min() + 1e-12)
+    return bool(totals[j] <= totals.min() + SINGLE_CENTER_RTOL * np.abs(totals).max())
 
 
 def has_collinear_triple(coords) -> bool:

@@ -267,8 +267,8 @@ def _cmd_certify(ns: argparse.Namespace) -> int:
         pairs += [("omega", cert.omega), ("alpha", list(cert.alpha)),
                   ("holds", verdict.holds), ("strict", verdict.strict)]
     else:
-        print("no certificate: the search program is infeasible",
-              file=sys.stderr)
+        print(f"no {'strict ' if ns.strict else ''}certificate exists for "
+              "this solution", file=sys.stderr)
     _emit_pairs(pairs, ns)
     return 0
 

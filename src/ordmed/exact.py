@@ -17,7 +17,6 @@ from .ordered_median import closest_allocation, om_evaluate
 
 ENUMERATION_CAP = 10**7
 ENUMERATION_BLOCK = 4096    # subsets scored per vectorised block
-NEAR_TIE_RTOL = 1e-9        # blocked scores this close to the minimum are re-scored
 RECOVERY_RTOL = 1e-7
 
 
@@ -49,10 +48,8 @@ def solve_enumeration(inst: Instance) -> CenterSolution:
     Subsets are scanned in lexicographic order and ties kept strictly, so
     the reported optimum always carries the lexicographically smallest
     center set among value ties. Each block of ENUMERATION_BLOCK subsets is
-    scored at once. Only the subsets whose score lies within NEAR_TIE_RTOL
-    of the lower of the block's best score and the best value so far are
-    re-scored, one by one with om_evaluate, so the choice never depends on
-    how a blocked dot product is summed.
+    scored at once by om_evaluate, which gives every subset the bits that
+    closest_allocation gives it alone.
     """
     m, p = inst.m, inst.p
     n_subsets = math.comb(m, p)
@@ -62,20 +59,15 @@ def solve_enumeration(inst: Instance) -> CenterSolution:
             f"{ENUMERATION_CAP} cap; shrink the instance or p")
     # row j of cols is the cost of serving every point from center j
     cols = np.ascontiguousarray(inst.dist.d.T)
-    lam_ascending = inst.weights.lam[::-1]
     subsets = combinations(range(m), p)
     best_value, best_centers = math.inf, None
     while (flat := np.fromiter(chain.from_iterable(
             islice(subsets, ENUMERATION_BLOCK)), dtype=np.intp)).size:
         centers = flat.reshape(-1, p)
-        nearest = cols[centers.T].min(axis=0)  # (block, m)
-        scores = np.sort(nearest, axis=1) @ lam_ascending
-        cut = min(float(scores.min()), best_value)
-        near = np.flatnonzero(scores <= cut + NEAR_TIE_RTOL * (1.0 + abs(cut)))
-        for k in near:
-            value = om_evaluate(nearest[k], inst.weights)
-            if value < best_value:
-                best_value, best_centers = value, centers[k]
+        scores = om_evaluate(cols[centers.T].min(axis=0), inst.weights)
+        k = int(np.argmin(scores))  # first minimum: lexicographically smallest
+        if scores[k] < best_value:
+            best_value, best_centers = scores[k], centers[k]
     return closest_allocation(inst.dist, best_centers, inst.weights)
 
 

@@ -200,15 +200,15 @@ class ValidationReport:
 def validate_metric(dist: DistanceMatrix | np.ndarray, tol: float = 1e-9) -> ValidationReport:
     """Check symmetry, zero diagonal, and the triangle inequality.
 
-    Tolerances scale with the largest entry so float-built metrics
-    (Euclidean coordinates, shortest-path completion) pass exactly when
-    they should. An empty violation list is equivalent to a valid metric.
+    Every check allows tol * max |d|, so float-built metrics (Euclidean
+    coordinates, shortest-path completion) pass exactly when they should,
+    in any unit. An empty violation list is equivalent to a valid metric.
     """
     d = dist.d if isinstance(dist, DistanceMatrix) else np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ParameterError(f"validate_metric needs a square matrix, got shape {d.shape}")
     m = d.shape[0]
-    scale = tol * (1.0 + float(np.max(np.abs(d))) if d.size else 1.0)
+    scale = tol * float(np.max(np.abs(d)))
 
     asym = np.abs(d - d.T)
     symmetry_ok = bool(np.max(asym) <= scale)
@@ -418,8 +418,13 @@ def read_instance(path) -> tuple[DistanceMatrix, PointSet | None, int, WeightVec
         raise ParseError("empty instance file")
     no, header = lines[0]
     parts = header.split()
+    if len(parts) not in (2, 3):
+        raise ParseError("header must be `m p` or `m n p`", no)
+    counts = _parse_ints(parts, no)
+    if min(counts[:-1]) < 1:
+        raise ParseError("point and coordinate counts must be positive", no)
     if len(parts) == 2:
-        m, p = _parse_ints(parts, no)
+        m, p = counts
         if len(lines) < 2 + m:
             raise ParseError(f"expected weight line plus {m} matrix rows", no)
         wno, wline = lines[1]
@@ -437,22 +442,20 @@ def read_instance(path) -> tuple[DistanceMatrix, PointSet | None, int, WeightVec
                              lines[2 + m][0])
         dist = DistanceMatrix(np.array(rows))
         return dist, None, p, WeightVector(np.array(lam))
-    if len(parts) == 3:
-        m, n, p = _parse_ints(parts, no)
-        if len(lines) < 1 + m:
-            raise ParseError(f"expected {m} coordinate rows", no)
-        coords = []
-        for rno, rline in lines[1:1 + m]:
-            row = _parse_floats(rline.split(), rno)
-            if len(row) != n:
-                raise ParseError(f"expected {n} coordinates, got {len(row)}", rno)
-            coords.append(row)
-        if len(lines) > 1 + m:
-            raise ParseError(f"trailing row after the {m} coordinate rows",
-                             lines[1 + m][0])
-        points = PointSet(np.array(coords))
-        return points.distance_matrix(), points, p, None
-    raise ParseError("header must be `m p` or `m n p`", no)
+    m, n, p = counts
+    if len(lines) < 1 + m:
+        raise ParseError(f"expected {m} coordinate rows", no)
+    coords = []
+    for rno, rline in lines[1:1 + m]:
+        row = _parse_floats(rline.split(), rno)
+        if len(row) != n:
+            raise ParseError(f"expected {n} coordinates, got {len(row)}", rno)
+        coords.append(row)
+    if len(lines) > 1 + m:
+        raise ParseError(f"trailing row after the {m} coordinate rows",
+                         lines[1 + m][0])
+    points = PointSet(np.array(coords))
+    return points.distance_matrix(), points, p, None
 
 
 def write_instance(path, dist: DistanceMatrix | None = None,

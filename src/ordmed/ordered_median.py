@@ -43,17 +43,19 @@ def sorting_permutation(d) -> SortPermutation:
     return SortPermutation(tuple(int(i) for i in order))
 
 
-def _check_lengths(d: np.ndarray, weights: WeightVector) -> None:
-    if d.size != weights.m:
-        raise ParameterError(f"cost length {d.size} != weight length {weights.m}")
+def om_evaluate(d, weights: WeightVector) -> float | np.ndarray:
+    """Sum of lam_r * (r-th largest cost): a float, or an array per row of a (..., m) stack.
 
-
-def om_evaluate(d, weights: WeightVector) -> float:
-    """Sum of lam_r * (r-th largest cost)."""
+    The one ordered-median kernel. Rows are sorted ascending and dotted with
+    the reversed weights by einsum, which (optimize off) calls no BLAS, so
+    row k of a stack gets exactly the bits it gets alone.
+    """
     d = np.asarray(d, dtype=float)
-    _check_lengths(d, weights)
-    order = np.argsort(-d, kind="stable")
-    return float(np.dot(weights.lam, d[order]))
+    if d.shape[-1:] != (weights.m,):
+        raise ParameterError(f"cost shape {d.shape} does not end in weight length {weights.m}")
+    rows = np.sort(d.reshape(-1, weights.m), axis=1)
+    values = np.einsum("ij,j->i", rows, weights.lam[::-1])
+    return float(values[0]) if d.ndim == 1 else values.reshape(d.shape[:-1])
 
 
 def closest_allocation(dist: DistanceMatrix, centers, weights: WeightVector) -> CenterSolution:

@@ -302,6 +302,19 @@ class TestCheckSingleCenter:
         with pytest.raises(ParameterError):
             check_single_center(t1_instance(), 9)
 
+    # every vertex of a regular polygon ties by symmetry, at any unit; an
+    # absolute tie tolerance drops vertices from ×1e4 on
+    @pytest.mark.parametrize("unit", [1e-8, 1.0, 1e4, 1e8])
+    @pytest.mark.filterwarnings("ignore:tied distances")
+    def test_regular_polygon_vertices_all_pass(self, unit):
+        rng = np.random.default_rng(61)
+        for k in [3, 4, 5, 6, 7, 8] * 10:
+            theta = rng.uniform(0.0, 2 * np.pi) + 2 * np.pi * np.arange(k) / k
+            coords = rng.uniform(-5.0, 5.0, 2) + rng.uniform(0.5, 5.0) * np.c_[
+                np.cos(theta), np.sin(theta)]
+            inst = planar_instance(coords * unit, resolve_weights("median", k), 1)
+            assert all(check_single_center(inst, j) for j in range(k))
+
     def test_tied_distances_warn(self):
         d = np.ones((3, 3)) - np.eye(3)
         inst = matrix_instance(d, resolve_weights("median", 3), 1)

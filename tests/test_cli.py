@@ -168,7 +168,18 @@ class TestCertify:
         got = pairs(out)
         assert got["found"] == "false"
         assert got["v_ip"] == "7"
-        assert "infeasible" in err
+        assert err == "no certificate exists for this solution\n"
+
+    def test_empty_alpha_box_reports_no_certificate(self, capsys, tmp_path):
+        # center weights give every point but the farthest weight 0, so a
+        # strict margin empties the alpha box before any program is built
+        path = tmp_path / "line.txt"
+        path.write_text("3 1 2\n0\n1\n2\n")
+        code, out, err = run(capsys, "certify", "--instance", str(path),
+                             "--weights", "center", "--strict")
+        assert code == 0
+        assert pairs(out)["found"] == "false"
+        assert err == "no strict certificate exists for this solution\n"
 
     def test_median_found_and_holds(self, capsys, t1_path):
         code, out, _ = run(capsys, "certify", "--instance", t1_path,

@@ -121,10 +121,10 @@ def enumeration_corpus():
     return out
 
 
-# Integer-grid instances where a blocked dot product ranked two subsets
-# differently from om_evaluate (OpenBLAS, x86-64): there, picking by the
-# blocked score alone, or re-scoring only exact score minima, returns the
-# wrong center set.
+# Integer-grid instances where a BLAS matrix-vector product over a block
+# (OpenBLAS, x86-64) ranked two subsets differently from scoring each subset
+# alone, so a block score that depends on its block returns the wrong
+# center set.
 ROUNDING_SENSITIVE = [
     ([[3, 3], [0, 0], [0, 2], [3, 3], [2, 3], [3, 0], [0, 3], [0, 3]], 2, "centdian:0.7"),
     ([[3, 0], [1, 0], [3, 3], [0, 3], [2, 2], [1, 0], [3, 2], [2, 0]], 2, "centdian:0.3"),
@@ -165,8 +165,8 @@ class TestBlockedEnumeration:
             assert same_solution(solve_enumeration(inst), per_subset_enumeration(inst))
 
     def test_gap_below_the_near_tie_tolerance(self):
-        # center 1 beats center 0 by 2e-12, far inside NEAR_TIE_RTOL, so both
-        # are re-scored and the exact comparison decides
+        # center 1 beats center 0 by 2e-12 (relative 1e-12), a gap no
+        # scoring tolerance may swallow
         d = [[0.0, 0.5, 2.5], [0.5 + 2e-12, 0.0, 2.5], [0.5, 0.5, 0.0]]
         inst = matrix_instance(d, resolve_weights("median", 3), 1)
         assert solve_enumeration(inst).centers == (1,)
@@ -178,6 +178,18 @@ class TestBlockedEnumeration:
         square = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         inst = planar_instance(square, resolve_weights("median", 4), 2)
         assert solve_enumeration(inst).centers == (0, 1)
+
+    def test_exact_tie_keeps_the_lexicographically_smaller_set(self):
+        # centers (1, 5) and (1, 6) both cost 100 + 0.1 * 239 = 123.9; a dot
+        # product over the descending sort rounds (1, 5) one ulp higher and
+        # so returns (1, 6)
+        pmed = floyd_warshall(parse_pmed(data_path("pmed1.txt")))
+        inst = Instance(prefix_subsample(pmed, 8),
+                        resolve_weights("centdian:0.1", 8), 2)
+        tied = [closest_allocation(inst.dist, c, inst.weights).value
+                for c in ((1, 5), (1, 6))]
+        assert tied[0] == tied[1]
+        assert solve_enumeration(inst).centers == (1, 5)
 
     @pytest.mark.parametrize("m, p, block", [(8, 2, 7), (7, 3, 35), (6, 3, 5)])
     def test_subset_count_a_multiple_of_the_block(self, monkeypatch, m, p, block):

@@ -74,6 +74,13 @@ class TestValidateMetric:
         assert validate_metric(d, tol=1e-9).symmetry_ok
         assert not validate_metric(d, tol=1e-13).symmetry_ok
 
+    @pytest.mark.parametrize("unit", [1e-10, 1e-9, 1.0, 1e6])
+    def test_violations_are_found_at_any_unit(self, unit):
+        triangle = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        assert not validate_metric(triangle * unit).triangle_ok
+        assert not validate_metric(np.array([[0.0, 1.0], [1.5, 0.0]]) * unit).symmetry_ok
+        assert not validate_metric(np.array([[0.5, 1.0], [1.0, 0.0]]) * unit).diagonal_ok
+
     def test_non_square_rejected(self):
         with pytest.raises(ParameterError):
             validate_metric(DistanceMatrix(np.zeros((2, 3))))
@@ -316,6 +323,39 @@ class TestInstanceFiles:
         path.write_text(text)
         with pytest.raises(ParseError, match=f"^line {line}: trailing row"):
             read_instance(path)
+
+    POSITIVE = "point and coordinate counts must be positive"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", None, "empty instance file"),
+        ("# a comment\n\n", None, "empty instance file"),
+        ("3 1\n1 1 1\n0 1 2\n", 1, "expected weight line plus 3 matrix rows"),
+        ("3 2 1\n0 0\n1 1\n", 1, "expected 3 coordinate rows"),
+        ("2 1\n1 1 1\n0 1\n1 0\n", 2, "expected 2 weights, got 3"),
+        ("2 1\n1 1\n0 1\n1 0 2\n", 4, "expected 2 entries, got 3"),
+        ("2 2 1\n0 0\n1\n", 3, "expected 2 coordinates, got 1"),
+        ("2 2 1 1\n", 1, "header must be `m p` or `m n p`"),
+        ("2\n", 1, "header must be `m p` or `m n p`"),
+        ("2 x\n", 1, "expected integers"),
+        ("2.5 1\n", 1, "expected integers"),
+        ("2 1\n1 1\n0 inf\n1 0\n", 3, "non-finite number"),
+        ("2 2 1\n0 nan\n1 1\n", 2, "non-finite number"),
+        ("-1 2 1\n", 1, POSITIVE),
+        ("-2 1\n1 1\n", 1, POSITIVE),
+        ("0 1\n", 1, POSITIVE),
+        ("3 0 1\n0 0\n", 1, POSITIVE),
+    ], ids=["empty", "comments-only", "matrix-rows", "coordinate-rows",
+            "weight-count", "matrix-row-width", "coordinate-row-width",
+            "header-too-long", "header-too-short", "header-not-integer",
+            "header-float", "matrix-inf", "coordinate-nan", "negative-m",
+            "negative-m-matrix", "zero-m", "zero-n"])
+    def test_each_parse_error(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_instance(path)
+        assert exc.value.line == line
+        assert message in str(exc.value)
 
     def test_blank_and_comment_lines_after_the_data(self, tmp_path):
         path = tmp_path / "tail.txt"

@@ -73,6 +73,27 @@ class TestOmEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             om_evaluate((1.0, 2.0), weights(1.0))
+        with pytest.raises(ParameterError):
+            om_evaluate(np.zeros((3, 2)), weights(1.0, 1.0, 1.0))
+
+    # odd lengths put the rows of a stack at every alignment
+    @pytest.mark.parametrize("m", [1, 3, 8, 9, 17, 24, 33])
+    @pytest.mark.parametrize("grid", [False, True], ids=["float", "grid"])
+    def test_stack_rows_match_single_rows_bit_for_bit(self, m, grid):
+        rng = np.random.default_rng(m)
+        w = weights(*np.sort(rng.uniform(0.0, 1.0, m))[::-1])
+        for n in (1, 7, 4096):
+            if grid:  # integer costs: exact ties and sums that round differently
+                d = rng.integers(0, 5, size=(n, m)).astype(float)
+            else:
+                d = rng.uniform(0.0, 10.0, size=(n, m))
+            alone = [om_evaluate(row, w) for row in d]
+            assert all(type(v) is float for v in alone)
+            stacked = om_evaluate(d, w)
+            assert stacked.shape == (n,)
+            assert [v.hex() for v in stacked.tolist()] == [v.hex() for v in alone]
+            if n == 7:
+                assert np.array_equal(om_evaluate(d.reshape(1, n, m), w)[0], stacked)
 
     @settings(max_examples=150, deadline=None)
     @given(cost_weight_pairs())
