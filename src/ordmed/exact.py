@@ -9,11 +9,14 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
+from .certificates import (CertificateVerdict, DualCertificate,
+                           make_certificate, verify_certificate)
 from .errors import ConvergenceError, SizeGuardError
-from .formulations import DompModel, build_bep, fractionality_report
+from .formulations import (DompModel, build_bep, fractionality_report,
+                           location_duals)
 from .instance import CenterSolution, Instance
 from .lp_core import RESIDUAL_TOL, check_solution, solve_lp
-from .ordered_median import closest_allocation, om_evaluate
+from .ordered_median import closest_allocation, om_evaluate, sorting_permutation
 
 ENUMERATION_CAP = 10**7
 ENUMERATION_BLOCK = 4096    # subsets scored per vectorised block
@@ -26,10 +29,14 @@ class RecoveryReport:
 
     recovered means the relaxation value matches the exact optimum to
     relative tolerance; vertex_integral is the stronger statement that the
-    returned LP vertex itself has a binary location/allocation block.
+    returned LP vertex itself has a binary location/allocation block, read
+    to the nearest integer: at coincident points y_j may be 2 (y = [2, 1,
+    1, 0, 1, 0] at m = 6, p = 5), and moving the excess to closed points
+    gives a binary vector of equal value with y <= 1, so y is not clipped.
     gap_lp is (v_ip - v_lp) / v_ip clamped to [0, 1], and exactly 0 when
     recovered (so round-off inside the tolerance never prints as a gap) or
-    when v_ip is 0.
+    when v_ip is 0. When recovered, certificate is read off the relaxation's
+    duals and verdict is its check at best_solution; else both are None.
     """
 
     v_ip: float
@@ -40,6 +47,8 @@ class RecoveryReport:
     vertex_integral: bool
     time_enumeration: float
     time_lp: float
+    certificate: DualCertificate | None
+    verdict: CertificateVerdict | None
 
 
 def solve_enumeration(inst: Instance) -> CenterSolution:
@@ -80,6 +89,14 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     obj . x at a vertex whose check_solution residual is at most
     RESIDUAL_TOL * unit (else ConvergenceError), and it recovers v_ip
     within RECOVERY_RTOL * |v_ip|, or RECOVERY_RTOL * unit when v_ip is 0.
+
+    When recovered, the certificate is read off the same solve: alpha is
+    the assignment rows' duals and omega minus the cardinality row's. With
+    beta_ij >= 0 minus the dual of z_ij <= y_j, y_j's reduced cost is
+    omega - sum_i beta_ij >= 0; best_solution is then an LP optimum, so
+    complementary slackness sets it to 0 at each of its centers: centers
+    share omega and no point exceeds it. The verdict also checks that the
+    sorting rows price point i at lam_rank(i) * d_ij.
     """
     t0 = time.perf_counter()
     best = solve_enumeration(inst)
@@ -114,6 +131,11 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
         gap = 0.0
     else:
         gap = min(1.0, max(0.0, (v_ip - v_lp) / v_ip))
+    cert = verdict = None
+    if recovered:
+        cert = make_certificate(inst, sorting_permutation(best.distances),
+                                *location_duals(model, sol.y))
+        verdict = verify_certificate(inst, best, cert)
     return RecoveryReport(
         v_ip=v_ip,
         v_lp=v_lp,
@@ -123,4 +145,6 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
         vertex_integral=fractionality_report(model, sol.x).integral,
         time_enumeration=time_enumeration,
         time_lp=time_lp,
+        certificate=cert,
+        verdict=verdict,
     )

@@ -52,14 +52,19 @@ def _steps(inst: Instance) -> np.ndarray:
 def _location_allocation(name: str, inst: Instance):
     """The y and z columns and the shared rows: assignment, z <= y, cardinality.
 
-    Every sort position carries at least the last weight lam_m, so z_ij costs
-    lam_m * d_ij and the sorting rows price only the weights above lam_m.
+    The rows come in that order, m, m * m and 1 of them (location_duals
+    reads them there). Every sort position carries at least the last weight
+    lam_m, so z_ij costs lam_m * d_ij and the sorting rows price only the
+    weights above lam_m. No upper bound 1 would change the value: z <= 1
+    follows from the assignment row, and a y_j > 1 can move its excess to
+    some y_k < 1 (sum y = p <= m) at no cost, keeping every row. The dual of
+    a bound y_j <= 1 would absorb the differences between open centers.
     """
     m = inst.m
     cost = inst.weights.lam[-1] * inst.dist.d
     lp = LinearProgram(name)
-    y = [lp.add_variable(0.0, upper=1.0) for _ in range(m)]
-    z = [[lp.add_variable(c, upper=1.0) for c in row] for row in cost.tolist()]
+    y = [lp.add_variable(0.0) for _ in range(m)]
+    z = [[lp.add_variable(c) for c in row] for row in cost.tolist()]
     for zi in z:
         lp.add_row(dict.fromkeys(zi, 1.0), "=", 1.0)
     for zi in z:
@@ -67,6 +72,11 @@ def _location_allocation(name: str, inst: Instance):
             lp.add_row({zij: 1.0, yj: -1.0}, "<=", 0.0)
     lp.add_row(dict.fromkeys(y, 1.0), "=", float(inst.p))
     return lp, _frozen_array(y, np.intp), _frozen_array(z, np.intp)
+
+
+def location_duals(model: DompModel, row_duals: np.ndarray) -> tuple[np.ndarray, float]:
+    """alpha, the assignment rows' duals, and omega, minus the cardinality row's."""
+    return row_duals[:model.y.size], -float(row_duals[model.y.size + model.z.size])
 
 
 def build_bep(inst: Instance) -> DompModel:

@@ -205,8 +205,8 @@ def validate_metric(dist: DistanceMatrix | np.ndarray, tol: float = 1e-9) -> Val
     in any unit. An empty violation list is equivalent to a valid metric.
     """
     d = dist.d if isinstance(dist, DistanceMatrix) else np.asarray(dist, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ParameterError(f"validate_metric needs a square matrix, got shape {d.shape}")
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or not d.size:
+        raise ParameterError(f"validate_metric needs a nonempty square matrix, got {d.shape}")
     m = d.shape[0]
     scale = tol * float(np.max(np.abs(d)))
 

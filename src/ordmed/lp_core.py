@@ -38,6 +38,7 @@ ITERATION_CAP = 10**6
 REFACTOR_EVERY = 50
 INTEGRALITY_TOL = 1e-6
 RESIDUAL_TOL = 1e-9  # largest check_solution residual a verdict may rest on
+PHASE1_TOL = 1e-7  # phase-1 value, over the rhs scale, above which an LP is infeasible
 
 
 class LinearProgram:
@@ -335,7 +336,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if sim.run(sim.c1) == UNBOUNDED:
         # the phase-1 objective is bounded below by zero; this is numerical
         raise ConvergenceError("phase 1 reported unbounded", sim.iterations)
-    if float(sim.c1 @ sim.x) > 1e-7 * sim.b_scale:
+    if float(sim.c1 @ sim.x) > PHASE1_TOL * sim.b_scale:
         return LpSolution(status=INFEASIBLE, iterations=sim.iterations)
 
     # Pin the artificials at zero; a basic one leaves at the first pivot

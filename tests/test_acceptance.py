@@ -220,6 +220,14 @@ def test_08_certificate_soundness_completeness(
     below, scan = centdian_corpus
     corpus = median_corpus + center_corpus + two_sum_corpus + below + scan
     feasible_count = 0
+    # every tenth cell again on OT: its duals must certify recoveries too
+    reports = [rec.report for rec in corpus]
+    reports += [recovery_status(rec.inst, model=build_ot(rec.inst))
+                for rec in corpus[::10]]
+    for report in reports:
+        assert (report.verdict is not None) == report.recovered
+        if report.recovered:
+            assert report.verdict.holds, "relaxation duals are no certificate"
     for rec in corpus:
         cert, verdict = search_certificate(rec.inst, rec.report.best_solution)
         feasible = cert is not None
@@ -231,7 +239,8 @@ def test_08_certificate_soundness_completeness(
             assert feasible, "recovering free-of-equidistance instance lacks a certificate"
     assert feasible_count >= 200
     announce(8, "certificate soundness and completeness",
-             f"{len(corpus)} instances, {feasible_count} certified")
+             f"{len(corpus)} instances, {feasible_count} certified, "
+             f"{sum(r.recovered for r in reports)} read off LP duals")
 
 
 def test_09_single_center_characterization():

@@ -7,23 +7,27 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import ordmed.certificates
 import ordmed.exact
 from ordmed import (
     ConvergenceError,
     Instance,
     PointSet,
     SizeGuardError,
+    build_bep,
     build_ot,
     closest_allocation,
     data_path,
     floyd_warshall,
     generate_ball,
     generate_uniform,
+    ordered_contribution,
     parse_pmed,
     prefix_subsample,
     recovery_status,
     resolve_weights,
     solve_enumeration,
+    solve_lp,
 )
 
 from helpers import (matrix_instance, planar_instance, random_instance,
@@ -251,6 +255,68 @@ class TestRecoveryStatus:
                         recovered += 1
                         assert rep.gap_lp == 0.0
         assert recovered > 0
+
+    def test_one_solve_per_call(self, monkeypatch):
+        # the certificate is read off the relaxation's duals, not re-solved
+        calls = []
+        for module in (ordmed.exact, ordmed.certificates):
+            solve = module.solve_lp
+            monkeypatch.setattr(module, "solve_lp",
+                                lambda lp, solve=solve: calls.append(lp) or solve(lp))
+        for spec, p in (("median", 1), ("median", 2), ("center", 1)):
+            inst = t1_instance(spec, p=p)
+            for model in (None, build_ot(inst)):
+                calls.clear()
+                rep = recovery_status(inst, model=model)
+                assert len(calls) == 1
+                assert (rep.certificate is None) == (rep.verdict is None) \
+                    == (not rep.recovered)
+
+    def test_multi_center_recoveries_carry_holding_certificates(self):
+        # with p >= 2 open centers a bound y <= 1 would break center equality
+        instances = [Instance(dist, resolve_weights(spec, 8), p, pts)
+                     for seed in range(4)
+                     for pts, dist in (generate_ball(8, 3, 0.5, 4.0, seed=seed),
+                                       generate_uniform(8, seed=seed))
+                     for spec in ("median", "centdian:0.5", "ksum:auto")
+                     for p in (2, 3)]
+        held = 0
+        for inst in instances:
+            for model in (build_bep(inst), build_ot(inst)):
+                rep = recovery_status(inst, model=model)
+                assert (rep.verdict is not None) == rep.recovered
+                if not rep.recovered:
+                    continue
+                assert rep.verdict.holds
+                held += 1
+                # omega is the level every center's contributions reach
+                cert = rep.certificate
+                for j in rep.best_solution.centers:
+                    level = ordered_contribution(cert.alpha, cert.sigma, inst.dist,
+                                                 inst.weights, j)
+                    assert level == pytest.approx(cert.omega, abs=1e-9)
+        assert held >= 30  # 36 of the 96 reports recover
+
+    def test_coincident_points_read_an_excess_y_as_integral(self):
+        # Points 0 and 3 coincide, as do 1 and 5. The BEP vertex opens y_0
+        # twice; y is not clipped, and moving the excess to a closed point
+        # gives a binary LP vector of the same value that keeps y <= 1.
+        coords = [[0, 0], [1, 1], [1, 0], [0, 0], [0, 2], [1, 1]]
+        inst = planar_instance(coords, resolve_weights("median", 6), 5)
+        model = build_bep(inst)
+        sol = solve_lp(model.lp)
+        y = sol.x[model.y]
+        assert y.tolist() == [2.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+        rep = recovery_status(inst)
+        assert rep.recovered and rep.vertex_integral and rep.verdict.holds
+        moved = sol.x.copy()
+        moved[model.y] = [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+        a, rels, b = model.lp.dense()
+        slack = a @ moved - b
+        rels = np.array(rels)
+        assert np.all(slack[rels == "<="] <= 0.0)
+        assert np.all(slack[rels == "="] == 0.0)
+        assert np.dot(model.lp.obj, moved) == np.dot(model.lp.obj, sol.x)
 
     def test_explicit_model_is_used(self):
         inst = t1_instance("median", p=1)

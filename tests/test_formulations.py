@@ -72,6 +72,13 @@ class TestModelShape:
             assert model.lp.n_rows == (m + m * m + 1) + m * S
             assert model.lp.n_vars == m + m * m + S + m * S
 
+    def test_no_column_has_a_finite_upper_bound(self):
+        # y <= 1 and z <= 1 never change the value, and the dual of y <= 1
+        # would keep the duals from forming a certificate
+        for inst, _ in shape_cases():
+            for model in (build_bep(inst), build_ot(inst)):
+                assert np.all(np.isinf(model.lp.upper))
+
     def test_index_maps_cover_columns(self):
         for model in (build_bep(t1_instance(p=2)), build_ot(t1_instance(p=2))):
             cols = set(model.y)

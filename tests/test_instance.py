@@ -85,6 +85,11 @@ class TestValidateMetric:
         with pytest.raises(ParameterError):
             validate_metric(DistanceMatrix(np.zeros((2, 3))))
 
+    def test_empty_matrix_rejected(self):
+        # the maxima over a 0 x 0 matrix have no identity element
+        with pytest.raises(ParameterError, match="nonempty square"):
+            validate_metric(np.zeros((0, 0)))
+
 
 class TestFreeOfEquidistance:
     def test_t1_distinct(self):
