@@ -27,11 +27,11 @@ from .formulations import (DompModel, FractionalityReport, build_bep,
 from .instance import (CenterSolution, DistanceMatrix, Instance, PointSet,
                        ValidationReport, WeightClass, WeightVector,
                        classify_weights, fixture_t1, is_free_of_equidistance,
-                       read_instance, resolve_weights, restrict_instance,
-                       validate_metric, write_instance)
+                       read_instance, resolve_weights, validate_metric,
+                       write_instance)
 from .lp_core import (LinearProgram, LpSolution, ResidualReport,
                       check_solution, solve_lp)
 from .ordered_median import (SortPermutation, closest_allocation, om_evaluate,
-                             sorting_permutation)
+                             restrict_instance, sorting_permutation)
 
 __version__ = "0.1.0"

@@ -232,8 +232,7 @@ class ExperimentRow:
     error: str = ""
 
 
-def profile_instances(dists, *, bootstrap: int, seed: int,
-                      mode: str = "auto") -> list[tuple]:
+def profile_instances(dists, *, bootstrap: int, seed: int) -> list[tuple]:
     """(dip, dip p-value, dip-stat label, dip-pvalue label) per distance matrix.
 
     Instance k bootstraps its p-value with seed + k, so the clusterability
@@ -246,7 +245,7 @@ def profile_instances(dists, *, bootstrap: int, seed: int,
     profiles = []
     for k, dist in enumerate(dists):
         try:
-            sample = clusterability_sample(dist, mode=mode)
+            sample = clusterability_sample(dist)
             profiles.append((dip_statistic(sample).dip,
                              dip_pvalue(sample, bootstrap=bootstrap, seed=seed + k)))
         except OrdmedError:

@@ -20,13 +20,14 @@ MEDIAN_SINGLE_RECOVERS = "MedianSingleRecovers"
 UNKNOWN = "Unknown"
 
 EQUALITY_TOL = 1e-9
+STRICT_MARGIN_RTOL = 1e-6  # strict slacks must clear this times lam_1 * max d
 COLLINEAR_RTOL = 1e-9  # |u x v| / s**2 below which a triple counts as collinear
 SINGLE_CENTER_RTOL = 1e-12  # weighted-sum gap, over max |sum|, that still ties
 
 
-def strictness_margin(dist: DistanceMatrix) -> float:
-    """Default margin for strict certificate inequalities: 1e-6 * max d."""
-    return 1e-6 * float(dist.d.max())
+def strictness_margin(inst: Instance) -> float:
+    """Margin for strict certificate inequalities, in the unit of lam * d."""
+    return STRICT_MARGIN_RTOL * inst.max_term
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,15 +104,14 @@ def ordered_contribution(alpha, sigma: SortPermutation, dist: DistanceMatrix,
 
 
 def verify_certificate(inst: Instance, sol: CenterSolution,
-                       cert: DualCertificate,
-                       eps: float | None = None) -> CertificateVerdict:
+                       cert: DualCertificate) -> CertificateVerdict:
     """Check the four certificate conditions at sol and report worst slacks.
 
-    Slacks are judged against EQUALITY_TOL * max |wd|, so a verdict does not
-    depend on the unit of distance.
+    Slacks are judged against EQUALITY_TOL * max |wd|, and strict ones
+    against strictness_margin(inst), so a verdict depends on the unit of
+    neither the distances nor the weights.
     """
-    if eps is None:
-        eps = strictness_margin(inst.dist)
+    margin = strictness_margin(inst)
     m = inst.m
     wd = _weighted_distances(inst.weights, cert.sigma, inst.dist)
     tol = EQUALITY_TOL * float(np.abs(wd).max())
@@ -134,8 +134,8 @@ def verify_certificate(inst: Instance, sol: CenterSolution,
         nonmember_slack = np.inf
     holds = bool(center_dev <= tol
                  and min(noncenter_slack, member_slack, nonmember_slack) >= -tol)
-    strict = bool(holds and eps > 0 and min(noncenter_slack, member_slack,
-                                            nonmember_slack) >= eps - tol)
+    strict = bool(holds and margin > 0 and min(noncenter_slack, member_slack,
+                                               nonmember_slack) >= margin - tol)
     return CertificateVerdict(holds=holds, strict=strict,
                               center_equality_deviation=center_dev,
                               noncenter_slack=noncenter_slack,
@@ -143,8 +143,7 @@ def verify_certificate(inst: Instance, sol: CenterSolution,
                               nonmember_slack=nonmember_slack)
 
 
-def search_certificate(inst: Instance, sol: CenterSolution, *,
-                       strict: bool = False, eps: float | None = None,
+def search_certificate(inst: Instance, sol: CenterSolution, *, strict: bool = False
                        ) -> tuple[DualCertificate | None, CertificateVerdict | None]:
     """Search a certificate for sol by LP feasibility; None when none exists.
 
@@ -156,9 +155,9 @@ def search_certificate(inst: Instance, sol: CenterSolution, *,
     cap row keeps non-center i's surplus sum at most omega - margin; the
     bound omega >= margin stands in for a cap with no surplus column.
     Minimizing omega makes the certificate deterministic; strict=True sets
-    the margin to eps.
+    the margin to strictness_margin(inst), else it is 0.
     """
-    margin = (eps if eps is not None else strictness_margin(inst.dist)) if strict else 0.0
+    margin = strictness_margin(inst) if strict else 0.0
     sigma = sorting_permutation(sol.distances)
     wd = _weighted_distances(inst.weights, sigma, inst.dist)
     centers = np.array(sol.centers, dtype=int)
@@ -193,7 +192,7 @@ def search_certificate(inst: Instance, sol: CenterSolution, *,
     if not lp_sol.is_optimal():
         raise ParameterError(f"certificate search ended {lp_sol.status}")
     cert = make_certificate(inst, sigma, lp_sol.x[a_cols], float(lp_sol.x[omega]))
-    return cert, verify_certificate(inst, sol, cert, eps)
+    return cert, verify_certificate(inst, sol, cert)
 
 
 def check_single_center(inst: Instance, j: int) -> bool:

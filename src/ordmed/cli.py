@@ -62,11 +62,6 @@ def _nonnegative_int(text: str) -> int:
     return _number(text, int, lambda v: v >= 0, "a non-negative integer")
 
 
-def _positive_float(text: str) -> float:
-    return _number(text, float, lambda v: math.isfinite(v) and v > 0,
-                   "a finite positive number")
-
-
 def _nonnegative_float(text: str) -> float:
     return _number(text, float, lambda v: math.isfinite(v) and v >= 0,
                    "a finite non-negative number")
@@ -127,16 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="search a dual certificate at the optimum")
     common(sp)
     sp.add_argument("--strict", action="store_true",
-                    help="demand strict inequalities by a positive margin")
-    sp.add_argument("--eps", type=_positive_float,
-                    help="strictness margin (default: 1e-6 * max distance)")
+                    help="demand strict inequalities by a margin of 1e-6 * "
+                         "lam_1 * max distance")
 
     sp = sub.add_parser("clusterability",
                         help="dip statistic, p-value, and collection labels")
     common(sp, multi_instance=True)
-    sp.add_argument("--sample-mode", choices=("auto", "distances", "mds"),
-                    default="auto", help="1-D sample: raw distances, 1-D "
-                    "projection, or size-based auto choice")
 
     sp = sub.add_parser("generate", help="write a synthetic instance file")
     sp.add_argument("generator", choices=("ball", "uniform"),
@@ -259,8 +250,7 @@ def _cmd_relax(ns: argparse.Namespace) -> int:
 def _cmd_certify(ns: argparse.Namespace) -> int:
     inst = _load_instance(ns)
     sol = solve_enumeration(inst)
-    cert, verdict = search_certificate(inst, sol, strict=ns.strict,
-                                       eps=ns.eps)
+    cert, verdict = search_certificate(inst, sol, strict=ns.strict)
     pairs = [("v_ip", sol.value), ("centers", list(sol.centers)),
              ("found", cert is not None)]
     if cert is not None:
@@ -278,7 +268,7 @@ def _cmd_clusterability(ns: argparse.Namespace) -> int:
         raise OrdmedError("clusterability needs at least one --instance")
     profiles = profile_instances(
         [_read(path, ns.subsample)[0] for path in ns.instance],
-        bootstrap=ns.bootstrap, seed=ns.seed, mode=ns.sample_mode)
+        bootstrap=ns.bootstrap, seed=ns.seed)
     rows = [(path, *profile) for path, profile in zip(ns.instance, profiles)]
     for path, dip, *_ in rows:
         if dip is None:

@@ -224,17 +224,13 @@ def mds_1d(dist: DistanceMatrix) -> np.ndarray:
     return coords
 
 
-def clusterability_sample(dist: DistanceMatrix, mode: str = "auto") -> np.ndarray:
+def clusterability_sample(dist: DistanceMatrix) -> np.ndarray:
     """The 1-D sample whose modality stands in for the matrix's clusterability.
 
-    distances mode: the upper-triangle entries. mds mode: the 1-D classical
-    projection. auto: distances up to m = 60, the projection beyond.
+    Up to m = MDS_THRESHOLD (60) the upper-triangle distances, beyond that
+    the 1-D classical projection mds_1d.
     """
-    if mode not in ("auto", "distances", "mds"):
-        raise ParameterError(f"unknown sample mode {mode!r}")
-    if mode == "auto":
-        mode = "distances" if dist.m <= MDS_THRESHOLD else "mds"
-    if mode == "distances":
+    if dist.m <= MDS_THRESHOLD:
         return dist.upper_triangle()
     return mds_1d(dist)
 

@@ -110,7 +110,7 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
         raise ConvergenceError(f"relaxation solve ended {sol.status}",
                                sol.iterations)
     # lam_1 * max d bounds every sorted term: the scale of values and duals
-    unit = max(1.0, float(inst.weights.lam[0]) * float(inst.dist.d.max()))
+    unit = max(1.0, inst.max_term)
     # a verdict never rests on a vertex that fails its own optimality check;
     # written so that a NaN residual fails too
     residual = check_solution(model.lp, sol).max_residual()

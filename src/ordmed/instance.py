@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ParameterError, ParseError
 
+METRIC_RTOL = 1e-9  # metric violations below this times max |d| are round-off
+
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
@@ -147,6 +149,11 @@ class Instance:
     def m(self) -> int:
         return self.dist.m
 
+    @property
+    def max_term(self) -> float:
+        """lam_1 * max d, which bounds every sorted term lam_r * d_ij."""
+        return float(self.weights.lam[0]) * float(self.dist.d.max())
+
 
 @dataclass(frozen=True, eq=False)
 class CenterSolution:
@@ -197,18 +204,19 @@ class ValidationReport:
         return out
 
 
-def validate_metric(dist: DistanceMatrix | np.ndarray, tol: float = 1e-9) -> ValidationReport:
+def validate_metric(dist: DistanceMatrix | np.ndarray) -> ValidationReport:
     """Check symmetry, zero diagonal, and the triangle inequality.
 
-    Every check allows tol * max |d|, so float-built metrics (Euclidean
-    coordinates, shortest-path completion) pass exactly when they should,
-    in any unit. An empty violation list is equivalent to a valid metric.
+    Every check allows METRIC_RTOL * max |d|, so float-built metrics
+    (Euclidean coordinates, shortest-path completion) pass exactly when they
+    should, in any unit. An empty violation list is equivalent to a valid
+    metric.
     """
     d = dist.d if isinstance(dist, DistanceMatrix) else np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or not d.size:
         raise ParameterError(f"validate_metric needs a nonempty square matrix, got {d.shape}")
     m = d.shape[0]
-    scale = tol * float(np.max(np.abs(d)))
+    scale = METRIC_RTOL * float(np.max(np.abs(d)))
 
     asym = np.abs(d - d.T)
     symmetry_ok = bool(np.max(asym) <= scale)
@@ -241,20 +249,13 @@ def validate_metric(dist: DistanceMatrix | np.ndarray, tol: float = 1e-9) -> Val
     )
 
 
-def is_free_of_equidistance(dist: DistanceMatrix, tol: float | None = None) -> bool:
+def is_free_of_equidistance(dist: DistanceMatrix) -> bool:
     """True iff all strict upper-triangle entries are pairwise distinct.
 
-    Exact comparison by default (the property is combinatorial); pass a
-    tolerance to treat entries closer than tol as tied, which matters for
-    integer-cost benchmark matrices.
+    The comparison is exact: the property is combinatorial.
     """
     entries = dist.upper_triangle()
-    if entries.size <= 1:
-        return True
-    if tol is None:
-        return len(set(entries.tolist())) == entries.size
-    s = np.sort(entries)
-    return bool(np.min(np.diff(s)) > tol)
+    return len(set(entries.tolist())) == entries.size
 
 
 WEIGHT_GRAMMAR = "median | center | ksum:K | centdian:G | file:PATH"
@@ -372,29 +373,6 @@ def classify_weights(weights: WeightVector) -> WeightClass:
         if 0.0 < gamma < 1.0 and np.all(v[1:] == gamma):
             return WeightClass("centdian", gamma, scale)
     return WeightClass("general", None, scale)
-
-
-def restrict_instance(inst: Instance, sol: CenterSolution, j: int) -> Instance:
-    """Single-center sub-instance on the points served by center j.
-
-    The sub-weights are the weight entries at the sorted positions that the
-    members of j's group occupy in the full solution's cost ordering; they
-    inherit non-increasing order because positions are taken ascending.
-    Sub-points keep ascending original index order.
-    """
-    if j not in sol.centers:
-        raise ParameterError(f"{j} is not a center of the given solution")
-    group = sol.group(j)
-    # descending stable sort of the full cost vector, ties by ascending index
-    order = np.argsort(-sol.distances, kind="stable")
-    in_group = np.isin(order, group)
-    lam_sub = inst.weights.lam[np.nonzero(in_group)[0]]
-    idx = np.array(group)
-    sub_d = inst.dist.d[np.ix_(idx, idx)]
-    sub_points = None
-    if inst.points is not None:
-        sub_points = PointSet(inst.points.coords[idx])
-    return Instance(DistanceMatrix(sub_d), WeightVector(lam_sub), 1, sub_points)
 
 
 def fixture_t1() -> PointSet:

@@ -1,7 +1,8 @@
 """The ordered median operator: sort costs non-increasingly, dot with weights.
 
-Evaluation by a direct sort, plus the closest allocation that turns a
-center set into a solution.
+Evaluation by a direct sort, the closest allocation that turns a center
+set into a solution, and the restriction of an instance to one allocation
+group.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .instance import CenterSolution, DistanceMatrix, WeightVector
+from .instance import (CenterSolution, DistanceMatrix, Instance, PointSet,
+                       WeightVector)
 
 
 @dataclass(frozen=True)
@@ -75,3 +77,23 @@ def closest_allocation(dist: DistanceMatrix, centers, weights: WeightVector) -> 
     distances = cols[np.arange(dist.m), pick]
     value = om_evaluate(distances, weights)
     return CenterSolution(tuple(q), assignment, distances, value)
+
+
+def restrict_instance(inst: Instance, sol: CenterSolution, j: int) -> Instance:
+    """Single-center sub-instance on the points served by center j.
+
+    The sub-weights are the weight entries at the sorted positions that the
+    members of j's group occupy in sorting_permutation(sol.distances); they
+    inherit non-increasing order because positions are taken ascending.
+    Sub-points keep ascending original index order.
+    """
+    if j not in sol.centers:
+        raise ParameterError(f"{j} is not a center of the given solution")
+    idx = np.array(sol.group(j))
+    positions = np.sort(sorting_permutation(sol.distances).rank_of()[idx])
+    sub_d = inst.dist.d[np.ix_(idx, idx)]
+    sub_points = None
+    if inst.points is not None:
+        sub_points = PointSet(inst.points.coords[idx])
+    return Instance(DistanceMatrix(sub_d), WeightVector(inst.weights.lam[positions]),
+                    1, sub_points)

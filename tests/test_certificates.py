@@ -37,7 +37,8 @@ from ordmed.bench_io import (data_path, floyd_warshall, generate_ball,
                              generate_uniform, parse_pmed, prefix_subsample)
 from ordmed.lp_core import INFEASIBLE
 
-from helpers import matrix_instance, planar_instance, random_instance, t1_instance
+from helpers import (T1_COORDS, matrix_instance, planar_instance, random_instance,
+                     t1_instance)
 from oracles import full_certificate_lp
 
 
@@ -141,7 +142,33 @@ class TestSearchCertificate:
         assert verdict.strict
 
     def test_margin_scales_with_distances(self):
-        assert strictness_margin(t1_instance().dist) == pytest.approx(1.2e-5)
+        # in the unit of lam * d; lam_1 = 1 keeps the bits of 1e-6 * max d
+        inst = t1_instance()
+        assert strictness_margin(inst) == 1e-6 * 12.0
+        heavy = Instance(inst.dist, WeightVector(1e3 * inst.weights.lam), 1)
+        assert strictness_margin(heavy) == pytest.approx(1.2e-2)
+
+    def test_heavy_square_has_no_strict_certificate(self):
+        # every corner of the square is optimal, so no certificate is
+        # strict; a margin in distance units fell under the slack tolerance
+        inst = planar_instance([[0, 0], [1, 0], [0, 1], [1, 1]],
+                               WeightVector(np.full(4, 1e4)), 1)
+        _, verdict = search_certificate(inst, solve_enumeration(inst),
+                                        strict=True)
+        assert verdict is None or not verdict.strict
+        report = recovery_status(inst)
+        assert report.recovered
+        assert not report.verdict.strict
+
+    def test_light_weights_keep_the_strict_certificate(self):
+        # strict at unit weights; a margin in distance units outgrew the
+        # slacks of lam * d at x1e-6
+        inst = planar_instance(np.array(T1_COORDS)[:, None],
+                               WeightVector(np.full(5, 1e-6)), 1)
+        cert, verdict = search_certificate(inst, solve_enumeration(inst),
+                                           strict=True)
+        assert cert is not None
+        assert verdict.strict
 
     def test_coincident_points_are_never_strict(self):
         # max d = 0 makes the default margin 0, and a zero margin pins no
@@ -194,7 +221,7 @@ class TestSearchCertificate:
 
 def full_search(inst, sol, strict):
     """search_certificate's answer, read off the unpruned program."""
-    margin = strictness_margin(inst.dist) if strict else 0.0
+    margin = strictness_margin(inst) if strict else 0.0
     lp_sol = solve_lp(full_certificate_lp(inst, sol, margin))
     if lp_sol.status == INFEASIBLE:
         return None, None
@@ -282,6 +309,21 @@ class TestUnitInvariance:
             return out
 
         assert flags(scale) == flags(1.0)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_strict_flags_do_not_depend_on_the_weight_unit(self, seed):
+        # seed 2 at x1e-3 found no certificate while the margin was in
+        # distance units and the slacks in those of lam * d
+        points, _ = generate_ball(10, 3, 0.5, 4.0, seed=seed)
+
+        def flags(s):
+            inst = planar_instance(points.coords, WeightVector(np.full(10, s)), 3)
+            cert, verdict = search_certificate(inst, solve_enumeration(inst),
+                                               strict=True)
+            return (cert is not None, verdict and verdict.holds,
+                    verdict and verdict.strict)
+
+        assert flags(1e-3) == flags(1.0) == flags(1e4)
 
 
 class TestCheckSingleCenter:

@@ -199,17 +199,6 @@ class TestCertify:
         assert got["found"] == "true"
         assert got["strict"] == "true"
 
-    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
-    def test_eps_must_be_finite_and_positive(self, capsys, t1_path, eps):
-        # a negative margin loosens the search rows, so the printed
-        # certificate would not hold
-        code, out, err = run(capsys, "certify", "--instance", t1_path,
-                             "--weights", "median", "--p", "1", "--strict",
-                             "--eps", eps)
-        assert code == 2
-        assert out == ""
-        assert "--eps" in err
-
 
 class TestClusterability:
     def test_csv_and_labels(self, capsys, t1_path, ball_path):
@@ -255,12 +244,6 @@ class TestClusterability:
         rows = list(csv.reader(io.StringIO(out)))
         assert [len(row) for row in rows] == [5, 5]
         assert rows[1][0] == str(path)
-
-    def test_sample_mode_flag(self, capsys, ball_path):
-        code, out, _ = run(capsys, "clusterability", "--instance", ball_path,
-                           "--bootstrap", "100", "--sample-mode", "mds")
-        assert code == 0
-        assert out.count("\n") == 2
 
     def test_p_values_match_the_experiment(self, capsys, tmp_path):
         # both commands bootstrap instance k with seed + k
@@ -440,8 +423,8 @@ class TestExitCodes:
         (["generate", "uniform", "--m", "x"], "a positive integer"),
         (["generate", "uniform", "--m", "5", "--seed", "x"],
          "a non-negative integer"),
-        (["certify", "--instance", "{t1}", "--eps", "x"],
-         "a finite positive number"),
+        (["experiment", "--instance", "{t1}", "--p", "two"],
+         "a positive integer"),
         (["clusterability", "--instance", "{t1}", "--bootstrap", "abc"],
          "an integer of at least 100"),
     ])
@@ -481,6 +464,17 @@ class TestExitCodes:
         assert code == 2
         assert "--closest-assignment" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--instance", "{t1}", "--strict", "--eps", "1e-3"],
+        ["clusterability", "--instance", "{t1}", "--bootstrap", "100",
+         "--sample-mode", "mds"]])
+    def test_tolerance_and_mode_flags_are_gone(self, capsys, t1_path, argv):
+        # the strict margin and the 1-D sample follow fixed rules
+        code, out, err = run(capsys, *[a.format(t1=t1_path) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert argv[-2] in err
+
     def test_clusterability_takes_no_weights(self, capsys, t1_path):
         # the dip diagnostics never read weights, so the flag is not offered
         code, _, err = run(capsys, "clusterability", "--instance", t1_path,
@@ -495,9 +489,9 @@ HELP_FLAGS = {
     "relax": ["--instance", "--weights", "--subsample", "--output", "--json",
               "--p", "--formulation"],
     "certify": ["--instance", "--weights", "--subsample", "--output",
-                "--json", "--p", "--strict", "--eps"],
+                "--json", "--p", "--strict"],
     "clusterability": ["--instance", "--subsample", "--output", "--json",
-                       "--bootstrap", "--seed", "--sample-mode"],
+                       "--bootstrap", "--seed"],
     "generate": ["--m", "--clusters", "--radius", "--sep", "--dim", "--seed",
                  "--p", "--output"],
     "experiment": ["--instance", "--pmed", "--weights", "--p", "--subsample",

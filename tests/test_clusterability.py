@@ -268,19 +268,18 @@ class TestClusterabilitySample:
         assert sample.shape == (10,)
 
     def test_explicit_mds_mode(self):
-        sample = clusterability_sample(line_matrix([0.0, 1.0, 3.0, 7.0, 12.0]),
-                                       mode="mds")
-        assert sample.shape == (5,)
+        # m = 61 takes the MDS branch, which recovers centred line points
+        xs = np.linspace(0.0, 3.0, MDS_THRESHOLD + 1) ** 2
+        dist = line_matrix(xs)
+        sample = clusterability_sample(dist)
+        np.testing.assert_array_equal(sample, mds_1d(dist))
+        assert sample == pytest.approx(xs - xs.mean(), abs=1e-9)
 
     def test_auto_switches_above_threshold(self):
         m = MDS_THRESHOLD + 1
         xs = np.linspace(0.0, 1.0, m)
         sample = clusterability_sample(line_matrix(xs))
         assert sample.shape == (m,)
-
-    def test_bad_mode(self):
-        with pytest.raises(ParameterError):
-            clusterability_sample(line_matrix([0.0, 1.0]), mode="pca")
 
 
 class TestClassifyCollection:

@@ -27,7 +27,7 @@ from ordmed import (
     validate_metric,
     write_instance,
 )
-from ordmed.instance import WEIGHT_GRAMMAR
+from ordmed.instance import METRIC_RTOL, WEIGHT_GRAMMAR
 
 from helpers import T1_COORDS, planar_instance, random_points, t1_instance
 
@@ -70,9 +70,11 @@ class TestValidateMetric:
         assert rep.diagonal_witness[1] == pytest.approx(0.5)
 
     def test_tolerance_scales_with_magnitude(self):
-        d = np.array([[0.0, 1e6], [1e6 + 1e-5, 0.0]])
-        assert validate_metric(d, tol=1e-9).symmetry_ok
-        assert not validate_metric(d, tol=1e-13).symmetry_ok
+        # asymmetry under METRIC_RTOL * max |d| is round-off, at any unit
+        for unit in (1e-6, 1.0, 1e6):
+            for skew, ok in ((0.5 * METRIC_RTOL, True), (2 * METRIC_RTOL, False)):
+                d = np.array([[0.0, 1.0], [1.0 + skew, 0.0]]) * unit
+                assert validate_metric(d).symmetry_ok == ok
 
     @pytest.mark.parametrize("unit", [1e-10, 1e-9, 1.0, 1e6])
     def test_violations_are_found_at_any_unit(self, unit):
@@ -102,10 +104,9 @@ class TestFreeOfEquidistance:
     def test_unit_spacing_tied(self):
         assert not is_free_of_equidistance(line_matrix([0.0, 1.0, 2.0]))
 
-    def test_tolerance_mode_merges_near_ties(self):
-        d = line_matrix([0.0, 1.0, 2.0 + 5e-13])
-        assert is_free_of_equidistance(d)
-        assert not is_free_of_equidistance(d, tol=1e-9)
+    def test_near_ties_count_as_distinct(self):
+        # the comparison is exact: 5e-13 apart is no tie
+        assert is_free_of_equidistance(line_matrix([0.0, 1.0, 2.0 + 5e-13]))
 
     def test_random_planar_instances_generically_distinct(self):
         rng = np.random.default_rng(7)
