@@ -120,18 +120,14 @@ def verify_certificate(inst: Instance, sol: CenterSolution,
     centers = np.array(sol.centers, dtype=int)
     c_centers = contributions[centers]
     center_dev = float(c_centers.max() - c_centers.min())
+    # an empty block (no non-center, no other center) keeps the identity +inf
     non_centers = np.setdiff1d(np.arange(m), centers)
-    if non_centers.size:
-        noncenter_slack = float(c_centers.min() - contributions[non_centers].max())
-    else:
-        noncenter_slack = np.inf
+    noncenter_slack = float(c_centers.min()
+                            - contributions[non_centers].max(initial=-np.inf))
     member_slack = float(surplus[np.arange(m), sol.assignment].min())
     others = np.ones((m, len(centers)), dtype=bool)
     others[np.arange(m), np.searchsorted(centers, sol.assignment)] = False
-    if others.any():
-        nonmember_slack = float((-surplus[:, centers])[others].min())
-    else:
-        nonmember_slack = np.inf
+    nonmember_slack = float((-surplus[:, centers])[others].min(initial=np.inf))
     holds = bool(center_dev <= tol
                  and min(noncenter_slack, member_slack, nonmember_slack) >= -tol)
     strict = bool(holds and margin > 0 and min(noncenter_slack, member_slack,

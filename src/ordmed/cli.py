@@ -17,8 +17,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .bench_io import floyd_warshall, format_csv, format_cell, \
     generate_ball, generate_uniform, parse_pmed, prefix_subsample, \
     profile_instances, row_values, rows_to_csv, run_experiment
@@ -168,16 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_default(value):
-    """What json cannot encode by itself: numpy scalars and arrays."""
-    if isinstance(value, (np.generic, np.ndarray)):
-        return value.tolist()
-    return str(value)
-
-
 def _json_lines(records) -> str:
-    return "".join(json.dumps(rec, default=_json_default) + "\n"
-                   for rec in records)
+    return "".join(json.dumps(rec) + "\n" for rec in records)
 
 
 def _emit(text: str, ns: argparse.Namespace) -> None:

@@ -11,6 +11,8 @@ from .errors import ParameterError, SizeGuardError
 from .instance import DistanceMatrix
 
 MDS_THRESHOLD = 60
+DIP_BOUND_TOL = 1e-12  # round-off a dip may show outside [1/(2n), 1/4]
+MDS_CLAMP_RTOL = 1e-9  # a leading eigenvalue below -this * norm(B) warns
 MIN_BOOTSTRAP = 100  # fewest resamples dip_pvalue accepts
 HIGH = "High"
 LOW = "Low"
@@ -164,7 +166,7 @@ def dip_statistic(sample) -> DipResult:
         high = lcm[ih]
 
     dip = dip_value / (2 * n)
-    if not 0.5 / n - 1e-12 <= dip <= 0.25 + 1e-12:
+    if not 0.5 / n - DIP_BOUND_TOL <= dip <= 0.25 + DIP_BOUND_TOL:
         raise AssertionError(f"dip {dip} escaped [1/(2n), 1/4]")
     return DipResult(dip=dip, n=n, modal_low=x[low], modal_high=x[high])
 
@@ -214,7 +216,7 @@ def mds_1d(dist: DistanceMatrix) -> np.ndarray:
         return np.zeros(m)
     eigenvalues, eigenvectors = np.linalg.eigh(b)
     lam1, vec = float(eigenvalues[-1]), eigenvectors[:, -1]
-    if lam1 < -1e-9 * scale:
+    if lam1 < -MDS_CLAMP_RTOL * scale:
         warnings.warn(f"leading eigenvalue {lam1:.3e} clamped to 0; the matrix "
                       "is not Euclidean-embeddable", stacklevel=2)
     coords = np.sqrt(max(lam1, 0.0)) * vec

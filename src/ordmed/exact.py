@@ -83,12 +83,13 @@ def solve_enumeration(inst: Instance) -> CenterSolution:
 def recovery_status(inst: Instance, *, model: DompModel | None = None) -> RecoveryReport:
     """Solve both ways and report whether the relaxation is exact here.
 
-    A prebuilt relaxed model for the same instance may be passed to avoid
-    rebuilding; values are still recomputed from scratch. Both tolerances
-    follow the instance's unit, unit = max(1, lam_1 * max d): v_lp is
-    obj . x at a vertex whose check_solution residual is at most
-    RESIDUAL_TOL * unit (else ConvergenceError), and it recovers v_ip
-    within RECOVERY_RTOL * |v_ip|, or RECOVERY_RTOL * unit when v_ip is 0.
+    A model built from this very instance object may be passed to avoid
+    rebuilding (any other raises ParameterError). Both tolerances follow
+    the unit max(1, lam_1 * max d): v_lp is obj . x at a vertex whose
+    check_solution residual is at most RESIDUAL_TOL * unit, and it recovers
+    v_ip within RECOVERY_RTOL * |v_ip|, or RECOVERY_RTOL * unit when v_ip is
+    0. A vertex over the residual bound, or with v_lp above v_ip by more
+    than the recovery tolerance, raises ConvergenceError.
 
     When recovered, the certificate is read off the same solve: alpha is
     the assignment rows' duals and omega minus the cardinality row's. With
@@ -98,6 +99,8 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     share omega and no point exceeds it. The verdict also checks that the
     sorting rows price point i at lam_rank(i) * d_ij.
     """
+    if model is not None:
+        model.require(inst)
     t0 = time.perf_counter()
     best = solve_enumeration(inst)
     time_enumeration = time.perf_counter() - t0
@@ -122,10 +125,12 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     # the value of the checked vertex, whatever value the solver stored
     v_lp = float(np.dot(model.lp.obj, sol.x))
     tol = RECOVERY_RTOL * (abs(v_ip) or unit)
-    # the integral optimum embeds as a feasible LP vector, so the bound is hard
+    # the integral optimum embeds as a feasible LP vector, so a vertex above
+    # it is a solver failure, not a verdict
     if v_lp > v_ip + tol:
-        raise AssertionError(
-            f"relaxation value {v_lp!r} exceeds the exact optimum {v_ip!r}")
+        raise ConvergenceError(
+            f"relaxation value {v_lp!r} exceeds the exact optimum {v_ip!r}",
+            sol.iterations)
     recovered = abs(v_ip - v_lp) <= tol
     if recovered or v_ip == 0.0:
         gap = 0.0

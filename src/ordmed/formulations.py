@@ -8,30 +8,35 @@ import numpy as np
 
 from .errors import ParameterError
 from .instance import CenterSolution, Instance, _frozen_array
-from .lp_core import INTEGRALITY_TOL, LinearProgram
+from .lp_core import INTEGRALITY_TOL, RESIDUAL_TOL, LinearProgram
 from .ordered_median import sorting_permutation
 
 
 # compared and hashed by identity, as its LinearProgram is; arrays have no bool ==
 @dataclass(frozen=True, eq=False)
 class DompModel:
-    """A built model plus its LP column indices as read-only int arrays.
+    """A built model, the Instance it was built from, and its LP column indices.
 
-    y (m,) and z (m, m) hold the location and allocation columns. A BEP
-    model (lp.name "bep") fills u (m,) and v (S,), an OT model (lp.name
-    "ot") fills t (S,) and q (m, S), and the other pair stays None. S counts
-    the weight steps (see _steps); without a step u is empty too. All arrays
-    together cover every LP column once.
+    The indices are read-only int arrays. y (m,) and z (m, m) hold the
+    location and allocation columns. A BEP model (lp.name "bep") fills u (m,)
+    and v (S,), an OT model (lp.name "ot") fills t (S,) and q (m, S), and the
+    other pair stays None. S counts the weight steps (see _steps); without a
+    step u is empty too. All arrays together cover every LP column once.
     """
 
     lp: LinearProgram
-    p: int
+    inst: Instance
     y: np.ndarray
     z: np.ndarray
     u: np.ndarray | None = None
     v: np.ndarray | None = None
     t: np.ndarray | None = None
     q: np.ndarray | None = None
+
+    def require(self, inst: Instance) -> None:
+        """Refuse inst unless it is the very object this model was built from."""
+        if inst is not self.inst:
+            raise ParameterError("model was built from a different instance")
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ def build_bep(inst: Instance) -> DompModel:
             coeffs[ui] = 1.0
             coeffs[vs] = 1.0
             lp.add_row(coeffs, ">=", 0.0)
-    return DompModel(lp=lp, p=inst.p, y=y, z=z, u=_frozen_array(u, np.intp),
+    return DompModel(lp=lp, inst=inst, y=y, z=z, u=_frozen_array(u, np.intp),
                      v=_frozen_array(v, np.intp))
 
 
@@ -126,7 +131,7 @@ def build_ot(inst: Instance) -> DompModel:
             coeffs[qis] = 1.0
             coeffs[ts] = 1.0
             lp.add_row(coeffs, ">=", 0.0)
-    return DompModel(lp=lp, p=inst.p, y=y, z=z, t=_frozen_array(t, np.intp),
+    return DompModel(lp=lp, inst=inst, y=y, z=z, t=_frozen_array(t, np.intp),
                      q=_frozen_array(q, np.intp))
 
 
@@ -141,12 +146,13 @@ def embed_integral(inst: Instance, sol: CenterSolution,
     and 0 on the tail, so v_s takes its run's value. Every row
     u_i + v_r >= mu_r * d_i holds (with equality at r = sort position of i,
     by a telescoping comparison against the monotone a), and the objective
-    collapses to sum_r a_r * (lam_m + mu_r), the ordered median value.
+    collapses to sum_r a_r * (lam_m + mu_r), the ordered median value. Both
+    are checked to RESIDUAL_TOL * max(1, lam_1 * max d), recovery_status's
+    unit; only a solution of another instance can fail them.
     """
     if model.lp.name != "bep":
         raise ParameterError("integral embeddings are defined for the BEP model")
-    if len(model.y) != inst.m or model.p != inst.p:
-        raise ParameterError("model was built from a different instance")
+    model.require(inst)
     m = inst.m
     lam = inst.weights.lam
     mu = lam - lam[-1]
@@ -163,14 +169,14 @@ def embed_integral(inst: Instance, sol: CenterSolution,
     if model.u.size:
         x[model.u] = u
         x[model.v] = v_sorted[_steps(inst)]
-    scale = 1e-9 * (1.0 + float(a[0]) * (1.0 + float(lam[0])))
+    tol = RESIDUAL_TOL * max(1.0, inst.max_term)
     # the tail column r = m (mu = v = 0) reads u >= 0
     worst = float((u[:, None] + v_sorted - np.outer(sol.distances, mu)).min())
-    if worst < -scale:
-        raise AssertionError(f"embedding violates a sorting row by {-worst:.3e}")
-    value = float(u.sum() + v_sorted.sum() + lam[-1] * a.sum())
-    if abs(value - sol.value) > 1e-9 * (1.0 + abs(sol.value)):
-        raise AssertionError("embedding objective drifted from the solution value")
+    drift = abs(float(u.sum() + v_sorted.sum() + lam[-1] * a.sum()) - sol.value)
+    if worst < -tol or drift > tol:
+        raise ParameterError(f"sol is no solution of this instance: sorting row "
+                             f"violation {max(0.0, -worst):.3e}, value drift "
+                             f"{drift:.3e}")
     return x
 
 

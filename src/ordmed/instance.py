@@ -140,10 +140,10 @@ class Instance:
             if self.points.m != self.dist.m:
                 raise ParameterError("coordinate count != distance matrix size")
             induced = self.points.distance_matrix().d
-            if np.max(np.abs(induced - self.dist.d)) > 1e-9:
-                raise ParameterError(
-                    "coordinates do not reproduce the distance matrix within 1e-9"
-                )
+            d = self.dist.d
+            if np.max(np.abs(induced - d)) > METRIC_RTOL * np.max(np.abs(d)):
+                raise ParameterError("coordinates do not reproduce the distance "
+                                     "matrix within METRIC_RTOL * max |d|")
 
     @property
     def m(self) -> int:

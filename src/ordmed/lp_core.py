@@ -263,14 +263,13 @@ class _BoundedSimplex:
         flip = self.hi[j] - self.lo[j]
         if flip <= theta:
             return -1, flip
+        ties = np.nonzero(ratios <= theta + RATIO_TIE_TOL * (1.0 + theta))[0]
         if self.bland:
-            # exact argmin set + smallest basic-variable id keeps Bland valid
-            ties = np.nonzero(ratios <= theta + 1e-12 * (1.0 + theta))[0]
+            # the smallest basic-variable id among the ties keeps Bland valid
             r = int(ties[np.argmin(self.basis[ties])])
         else:
-            # among near-tied ratios take the largest pivot entry; a pivot
-            # barely above PIVOT_TOL amplifies round-off by its reciprocal
-            ties = np.nonzero(ratios <= theta + RATIO_TIE_TOL * (1.0 + theta))[0]
+            # the largest pivot entry among the ties; a pivot barely above
+            # PIVOT_TOL amplifies round-off by its reciprocal
             r = int(ties[np.argmax(np.abs(delta[ties]))])
         if theta <= PIVOT_TOL * self.b_scale:
             self.degenerate_pivots += 1

@@ -479,6 +479,13 @@ class TestPredictNonRecovery:
         assert pred.kind == UNKNOWN
         assert pred.checks["collinearity"] == "unavailable"
 
+    def test_two_sum_needs_distinct_distances(self):
+        square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        inst = planar_instance(square, resolve_weights("ksum:2", 4), 1)
+        pred = predict_non_recovery(inst)
+        assert pred.kind == UNKNOWN and pred.item is None
+        assert pred.reason == "2-sum item needs pairwise-distinct distances"
+
     def test_two_sum_blocked_by_collinear_triple(self):
         inst = t1_instance("ksum:2", p=1)
         pred = predict_non_recovery(inst)
@@ -498,6 +505,15 @@ class TestPredictNonRecovery:
         pred = predict_non_recovery(inst)
         assert pred.kind == NEVER_RECOVERS
         assert pred.item == 2
+
+    def test_light_head_general_weights(self):
+        # trailing mass 1.5 exceeds the leading weight 1: no item applies
+        inst = planar_instance(GENERAL_POSITION,
+                               WeightVector((1.0, 0.8, 0.5, 0.2)), 1)
+        pred = predict_non_recovery(inst)
+        assert pred.checks["family"] == "general"
+        assert pred.kind == UNKNOWN and pred.item is None
+        assert pred.reason == "no structural item applies"
 
     def test_balanced_head_blocked_by_collinearity(self):
         inst = planar_instance([[0.0], [1.0], [3.0], [7.0]],

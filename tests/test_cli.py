@@ -123,6 +123,23 @@ class TestRelax:
         assert rec["v_lp"] == 18.0
         assert rec["recovered"] is True
 
+    @pytest.mark.parametrize("form", ["bep", "ot"])
+    def test_vertex_above_the_exact_optimum_is_one_error_line(
+            self, capsys, tmp_path, form):
+        path = tmp_path / "ball.txt"
+        assert main(["generate", "ball", "--m", "10", "--clusters", "3",
+                     "--radius", "0.5", "--sep", "4", "--seed", "2",
+                     "-o", str(path)]) == 0
+        weights = tmp_path / "w.txt"
+        weights.write_text("1e-6 " * 10)
+        capsys.readouterr()
+        code, out, err = run(capsys, "relax", "--formulation", form,
+                             "--instance", str(path), "--weights",
+                             f"file:{weights}", "--p", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: relaxation value ")
+        assert err.count("\n") == 1
+
     def test_output_file(self, capsys, t1_path, tmp_path):
         dest = tmp_path / "relax.txt"
         code, out, err = run(capsys, "relax", "--instance", t1_path,

@@ -12,8 +12,10 @@ import ordmed.exact
 from ordmed import (
     ConvergenceError,
     Instance,
+    ParameterError,
     PointSet,
     SizeGuardError,
+    WeightVector,
     build_bep,
     build_ot,
     closest_allocation,
@@ -317,6 +319,35 @@ class TestRecoveryStatus:
         assert np.all(slack[rels == "<="] <= 0.0)
         assert np.all(slack[rels == "="] == 0.0)
         assert np.dot(model.lp.obj, moved) == np.dot(model.lp.obj, sol.x)
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_model_of_another_instance_is_refused(self, m):
+        # At m = 8 the (m, p) comparison let this model pass, and the report
+        # read v_ip 2.661 against v_lp 1.811: numbers of two instances.
+        points, dist = generate_ball(m, 2, 0.5, 4.0, seed=0)
+        inst = Instance(dist, resolve_weights("median", m), 2, points)
+        points, dist = generate_uniform(8, seed=1)
+        other = Instance(dist, resolve_weights("median", 8), 2, points)
+        for build in (build_bep, build_ot):
+            with pytest.raises(ParameterError, match="different instance"):
+                recovery_status(inst, model=build(other))
+
+    def test_model_of_an_equal_copy_is_refused(self):
+        # a model knows the object it was built from, not its field values
+        inst = t1_instance("median", p=1)
+        copy = dataclasses.replace(inst)
+        assert copy == inst and copy is not inst
+        with pytest.raises(ParameterError, match="different instance"):
+            recovery_status(copy, model=build_bep(inst))
+
+    @pytest.mark.parametrize("build", [build_bep, build_ot])
+    def test_vertex_above_the_exact_optimum_raises(self, build):
+        # At weights of ten 1e-6 the solve stops at a vertex 3.7e-4 above
+        # v_ip, which the residual gate (absolute below unit 1) lets through.
+        points, dist = generate_ball(10, 3, 0.5, 4.0, seed=2)
+        inst = Instance(dist, WeightVector(np.full(10, 1e-6)), 3, points)
+        with pytest.raises(ConvergenceError, match="exceeds the exact optimum"):
+            recovery_status(inst, model=build(inst))
 
     def test_explicit_model_is_used(self):
         inst = t1_instance("median", p=1)

@@ -205,7 +205,14 @@ class TestEmbedding:
         with pytest.raises(ParameterError):
             embed_integral(inst, sol, build_ot(inst))
 
-    @pytest.mark.parametrize("m, p", [(4, 1), (5, 2)])
+    def test_solution_of_another_instance_rejected(self):
+        # the center optimum of t1 has value 7, its median value is 22
+        inst = t1_instance("median", p=1)
+        sol = solve_enumeration(t1_instance("center", p=1))
+        with pytest.raises(ParameterError, match="value drift 1.500e[+]01"):
+            embed_integral(inst, sol, build_bep(inst))
+
+    @pytest.mark.parametrize("m, p", [(4, 1), (5, 2), (5, 1)])
     def test_model_of_another_instance_rejected(self, m, p):
         inst = t1_instance("median", p=1)
         sol = closest_allocation(inst.dist, (2,), inst.weights)

@@ -69,6 +69,10 @@ class TestValidateMetric:
         assert rep.diagonal_witness[0] == 0
         assert rep.diagonal_witness[1] == pytest.approx(0.5)
 
+    def test_diagonal_violation_message(self):
+        rep = validate_metric(np.array([[0.5, 1.0], [1.0, 0.0]]))
+        assert rep.violations() == ["diagonal violated at 0, value 0.5"]
+
     def test_tolerance_scales_with_magnitude(self):
         # asymmetry under METRIC_RTOL * max |d| is round-off, at any unit
         for unit in (1e-6, 1.0, 1e6):
@@ -279,6 +283,24 @@ class TestInstanceValidation:
         bad = PointSet(np.array([[0.0], [1.0], [4.0]]))
         with pytest.raises(ParameterError):
             Instance(d, resolve_weights("median", 3), 1, points=bad)
+
+    def test_coordinates_of_a_zero_matrix_are_refused(self):
+        # t1 at 1e-12 is within 1e-9 of an all-zero matrix, but not within
+        # METRIC_RTOL * max |d|, which is 0 for that matrix
+        tiny = PointSet(np.array(T1_COORDS).reshape(-1, 1) * 1e-12)
+        with pytest.raises(ParameterError, match="METRIC_RTOL"):
+            Instance(DistanceMatrix(np.zeros((5, 5))),
+                     resolve_weights("median", 5), 1, points=tiny)
+
+    def test_coordinates_at_a_large_unit_allow_round_off(self):
+        # a matrix 1e-15 relative off its coordinates at 1e9 is off by 1e-5
+        # in absolute terms, yet only round-off
+        huge = PointSet(np.array(T1_COORDS).reshape(-1, 1) * 1e9)
+        d = huge.distance_matrix().d * (1.0 + 1e-15)
+        assert np.max(np.abs(d - huge.distance_matrix().d)) > 1e-9
+        inst = Instance(DistanceMatrix(d), resolve_weights("median", 5), 1,
+                        points=huge)
+        assert inst.points is huge
 
     def test_solution_group(self):
         sol = CenterSolution((0,), (0, 0, 0), np.array([0.0, 1.0, 2.0]), 3.0)

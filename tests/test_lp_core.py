@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ordmed import ParameterError, lp_core
+from ordmed import (ParameterError, build_bep, build_ot, lp_core,
+                    resolve_weights)
 from ordmed.lp_core import (
     INFEASIBLE,
     OPTIMAL,
@@ -19,6 +20,7 @@ from ordmed.lp_core import (
     solve_lp,
 )
 
+from helpers import random_instance, t1_instance
 from oracles import lp_vertex_oracle
 
 
@@ -377,6 +379,39 @@ class TestBoundedPaths:
         inconsistent = build_lp([1.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], ["=", "="],
                                 [2.0, 5.0], [0.0] * 2, [5.0] * 2)
         assert solve_lp(inconsistent).status == INFEASIBLE
+
+    def test_bland_rule_after_the_degenerate_budget(self, monkeypatch):
+        # With no budget the first degenerate pivot switches to Bland's rule.
+        # The degenerate ordered-median models must still reach the values
+        # and residuals of the default pricing.
+        models = [build(inst).lp
+                  for inst in [t1_instance(spec, p) for spec in
+                               ("center", "ksum:2", "centdian:0.5")
+                               for p in (1, 2)]
+                  + [random_instance(np.random.default_rng(seed), 7, 3,
+                                     weights=resolve_weights("ksum:auto", 7))
+                     for seed in range(4)]
+                  for build in (build_bep, build_ot)]
+        expected = [solve_lp(lp).value for lp in models]
+        switched = []
+
+        class NoBudgetSimplex(lp_core._BoundedSimplex):
+            def __init__(self, lp):
+                super().__init__(lp)
+                self.bland_budget = 0
+
+            def run(self, costs):
+                status = super().run(costs)
+                switched.append(self.bland)
+                return status
+
+        monkeypatch.setattr(lp_core, "_BoundedSimplex", NoBudgetSimplex)
+        for lp, value in zip(models, expected):
+            sol = solve_lp(lp)
+            assert sol.status == OPTIMAL
+            assert sol.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+            assert check_solution(lp, sol).max_residual() <= RESIDUAL_TOL
+        assert any(switched)
 
     def test_bland_rule_from_the_first_pivot(self, monkeypatch):
         # The anti-cycling fallback normally engages only after thousands of

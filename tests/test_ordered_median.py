@@ -193,6 +193,12 @@ class TestClosestAllocation:
         with pytest.raises(ParameterError):
             closest_allocation(inst.dist, (), inst.weights)
 
+    @pytest.mark.parametrize("centers", [(-1,), (5,), (0, 5)])
+    def test_out_of_range_center_rejected(self, centers):
+        inst = t1_instance()
+        with pytest.raises(ParameterError, match=r"lie in \[0, 4\]"):
+            closest_allocation(inst.dist, centers, inst.weights)
+
 
 class TestSubadditivityGap:
     def test_strictly_decreasing_weights(self):
