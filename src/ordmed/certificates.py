@@ -218,8 +218,12 @@ def has_collinear_triple(coords) -> bool:
     magnitude. |u x v| is the square root of the Gram determinant
     |u|^2 |v|^2 - (u.v)^2, summed here from the 2x2 minors u_k v_l - u_l v_k
     (Lagrange's identity), which keeps the cancellation out: in the plane it
-    is the cross product, and on the real line it is 0.
+    is the cross product, and on the real line it is 0. The triples of
+    4 * ENUMERATION_BLOCK // m**2 anchors (at least one) are scored at once,
+    so up to m = 128 no temporary exceeds 4 * ENUMERATION_BLOCK doubles
+    (128 KiB); larger ones measured slower at m = 60.
     """
+    from .exact import ENUMERATION_BLOCK  # exact imports this module
     c = np.asarray(coords, dtype=float)
     m = len(c)
     if m < 3:
@@ -227,15 +231,17 @@ def has_collinear_triple(coords) -> bool:
     c = c.reshape(m, -1)
     s = float(np.max(np.abs(c - c.mean(axis=0))))
     tol = COLLINEAR_RTOL * s * s
-    dims = list(combinations(range(c.shape[1]), 2))
-    later = np.triu(np.ones((m, m), dtype=bool), 1)
-    for a in range(m - 2):
-        e = c[a + 1:] - c[a]  # edge vectors from anchor a to every later point
-        wedge = np.zeros((m - a - 1, m - a - 1))
-        for k, l in dims:
-            wedge += np.square(np.outer(e[:, k], e[:, l])
-                               - np.outer(e[:, l], e[:, k]))
-        if np.any(np.sqrt(wedge[later[a + 1:, a + 1:]]) <= tol):
+    idx = np.arange(m)
+    step = max(1, 4 * ENUMERATION_BLOCK // m**2)
+    for lo in range(0, m - 2, step):
+        anchors, later = idx[lo:min(lo + step, m - 2)], idx[lo + 1:]
+        e = c[later] - c[anchors, None]  # e[a, b] = c_b - c_a
+        wedge = np.zeros((len(anchors), len(later), len(later)))
+        for k, l in combinations(range(c.shape[1]), 2):
+            wedge += np.square(e[:, :, k, None] * e[:, None, :, l]
+                               - e[:, :, l, None] * e[:, None, :, k])
+        triples = (anchors[:, None, None] < later[:, None]) & (later[:, None] < later)
+        if np.any(np.sqrt(wedge[triples]) <= tol):
             return True
     return False
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .lp_core import RESIDUAL_TOL, check_solution, solve_lp
 from .ordered_median import closest_allocation, om_evaluate, sorting_permutation
 
 ENUMERATION_CAP = 10**7
-ENUMERATION_BLOCK = 4096    # subsets scored per vectorised block
+ENUMERATION_BLOCK = 4096    # rows per vectorised block of subsets
 RECOVERY_RTOL = 1e-7
 
 
@@ -51,12 +50,51 @@ class RecoveryReport:
     verdict: CertificateVerdict | None
 
 
+def _subset_minima(cols: np.ndarray, p: int):
+    """Blocks of the rows min(cols[S]), S over the p-subsets of range(m) in lex order.
+
+    Level k extends each (k-1)-prefix ending at a by every b with
+    a < b <= m-p+k-1 (a later b leaves no room for the rest), in order, and
+    its row by np.minimum(prefix row, cols[b]). A level extends
+    ENUMERATION_BLOCK // (m-p+k) prefixes at a time, or one, so no block
+    has more than max(ENUMERATION_BLOCK, m) rows.
+    """
+    m = len(cols)
+    idx = np.arange(m)
+
+    def extend(last, minima, k):  # k-subsets; last[r] is the largest member of row r
+        if k == p:
+            yield minima
+            return
+        step = max(1, ENUMERATION_BLOCK // (m - p + k + 1))
+        for lo in range(0, len(last), step):
+            rep, b = np.nonzero(last[lo:lo + step, None] < idx[:m - p + k + 1])
+            block = minima[lo:lo + step].take(rep, axis=0)
+            yield from extend(b, np.minimum(block, cols.take(b, axis=0), out=block), k + 1)
+
+    yield from extend(idx[:m - p + 1], cols[:m - p + 1], 1)
+
+
+def _lex_subset(m: int, p: int, rank: int) -> list[int]:
+    """The p-subset of range(m) at position rank in lexicographic order."""
+    subset, a = [], 0
+    while len(subset) < p:
+        n = math.comb(m - a - 1, p - len(subset) - 1)  # subsets whose next member is a
+        if rank < n:
+            subset.append(a)
+        else:
+            rank -= n
+        a += 1
+    return subset
+
+
 def solve_enumeration(inst: Instance) -> CenterSolution:
     """Best closest-allocation solution over all p-subsets of points.
 
     Subsets are scanned in lexicographic order and ties kept strictly, so
     the reported optimum always carries the lexicographically smallest
-    center set among value ties. Each block of ENUMERATION_BLOCK subsets is
+    center set among value ties. Cost vectors are built by extending
+    prefixes (_subset_minima), and a minimum rounds nothing; each block is
     scored at once by om_evaluate, which gives every subset the bits that
     closest_allocation gives it alone.
     """
@@ -68,16 +106,14 @@ def solve_enumeration(inst: Instance) -> CenterSolution:
             f"{ENUMERATION_CAP} cap; shrink the instance or p")
     # row j of cols is the cost of serving every point from center j
     cols = np.ascontiguousarray(inst.dist.d.T)
-    subsets = combinations(range(m), p)
-    best_value, best_centers = math.inf, None
-    while (flat := np.fromiter(chain.from_iterable(
-            islice(subsets, ENUMERATION_BLOCK)), dtype=np.intp)).size:
-        centers = flat.reshape(-1, p)
-        scores = om_evaluate(cols[centers.T].min(axis=0), inst.weights)
+    best_value, best_rank, rank = math.inf, 0, 0
+    for minima in _subset_minima(cols, p):
+        scores = om_evaluate(minima, inst.weights)
         k = int(np.argmin(scores))  # first minimum: lexicographically smallest
         if scores[k] < best_value:
-            best_value, best_centers = scores[k], centers[k]
-    return closest_allocation(inst.dist, best_centers, inst.weights)
+            best_value, best_rank = scores[k], rank + k
+        rank += len(scores)
+    return closest_allocation(inst.dist, _lex_subset(m, p, best_rank), inst.weights)
 
 
 def recovery_status(inst: Instance, *, model: DompModel | None = None) -> RecoveryReport:

@@ -4,8 +4,9 @@ Everything here is deliberately written with different algorithms and
 different libraries than the code under test: sorting-based evaluation,
 telescoped partial sums and a max over all permutations for the ordered
 median, the two-vector probe of its convexity boundary, exhaustive
-assignment search for the exact optimum, rational basis enumeration for
-LP minima, and per-mode linear programs (scipy) for the dip statistic.
+assignment search for the exact optimum, a per-anchor collinearity scan,
+rational basis enumeration for LP minima, and per-mode linear programs
+(scipy) for the dip statistic.
 """
 
 from __future__ import annotations
@@ -117,6 +118,33 @@ def assignment_beats_closest(dist, lam, p) -> bool:
             value = om_oracle([d[i, alloc[i]] for i in range(m)], lam)
             if value < best_closest - 1e-9:
                 return True
+    return False
+
+
+def collinear_triple_oracle(coords, rtol) -> bool:
+    """has_collinear_triple as one loop over anchors: the reference scan.
+
+    For each anchor a, the edge vectors to every later point and their
+    squared 2x2 minors, summed over dimension pairs by np.outer, decide
+    every triple (a, b, t) with a < b < t.
+    """
+    c = np.asarray(coords, dtype=float)
+    m = len(c)
+    if m < 3:
+        return False
+    c = c.reshape(m, -1)
+    s = float(np.max(np.abs(c - c.mean(axis=0))))
+    tol = rtol * s * s
+    dims = list(combinations(range(c.shape[1]), 2))
+    later = np.triu(np.ones((m, m), dtype=bool), 1)
+    for a in range(m - 2):
+        e = c[a + 1:] - c[a]  # edge vectors from anchor a to every later point
+        wedge = np.zeros((m - a - 1, m - a - 1))
+        for k, l in dims:
+            wedge += np.square(np.outer(e[:, k], e[:, l])
+                               - np.outer(e[:, l], e[:, k]))
+        if np.any(np.sqrt(wedge[later[a + 1:, a + 1:]]) <= tol):
+            return True
     return False
 
 

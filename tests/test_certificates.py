@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ordmed.certificates
+import ordmed.exact
 from ordmed import (
     MEDIAN_SINGLE_RECOVERS,
     NEVER_RECOVERS,
@@ -39,7 +40,7 @@ from ordmed.lp_core import INFEASIBLE
 
 from helpers import (T1_COORDS, matrix_instance, planar_instance, random_instance,
                      t1_instance)
-from oracles import full_certificate_lp
+from oracles import collinear_triple_oracle, full_certificate_lp
 
 
 @pytest.fixture
@@ -406,6 +407,17 @@ class TestCollinearity:
                [1.0, 0.0, 0.0]]
         assert has_collinear_triple(np.array(pts) + 0.37)
 
+    # 1 scans one anchor at a time; 75 gives three anchors per chunk at
+    # m = 10 and one at m = 24; the default scores m <= 32 in one chunk
+    @pytest.mark.parametrize("block", [1, 75, ordmed.exact.ENUMERATION_BLOCK])
+    def test_matches_per_anchor_scan(self, monkeypatch, block):
+        monkeypatch.setattr(ordmed.exact, "ENUMERATION_BLOCK", block)
+        corpus = collinearity_corpus()
+        verdicts = [has_collinear_triple(pts) for pts in corpus]
+        rtol = ordmed.certificates.COLLINEAR_RTOL
+        assert verdicts == [collinear_triple_oracle(pts, rtol) for pts in corpus]
+        assert True in verdicts and False in verdicts
+
     def test_line_cells_never_contradict_recovery(self):
         # regression: an exact-equality scan missed float collinear triples,
         # so the 2-sum item said NeverRecovers where the relaxation recovered
@@ -426,6 +438,25 @@ def line_points(rng):
     angle = rng.uniform(0.0, np.pi)
     t = rng.uniform(-1.0, 1.0, size=m)
     return base + t[:, None] * np.array([np.cos(angle), np.sin(angle)])
+
+
+def collinearity_corpus():
+    """Random, line, near-line and coincident point sets in 1, 2 and 3 dimensions."""
+    rng = np.random.default_rng(41)
+    out = []
+    for m in (3, 4, 7, 10, 24, 37, 60):
+        for dim in (1, 2, 3):
+            pts = rng.uniform(-1.0, 1.0, size=(m, dim))
+            line = (rng.uniform(size=dim)
+                    + rng.uniform(-1.0, 1.0, size=(m, 1)) * rng.normal(size=dim))
+            # noise around the tolerance (1e-9 of s**2 on |u x v|) and above it
+            near = [line + scale * rng.normal(size=(m, dim)) for scale in (1e-11, 1e-9, 1e-5)]
+            late = pts.copy()  # only the last three points are collinear
+            late[-1] = 0.5 * (late[-3] + late[-2])
+            twin = pts.copy()
+            twin[m // 2] = twin[m - 1]
+            out += [pts, line, *near, late, twin, np.full((m, dim), 0.25)]
+    return out
 
 
 GENERAL_POSITION = [[0.0, 0.0], [1.0, 0.0], [0.3, 1.7], [2.1, 3.3]]

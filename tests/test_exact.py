@@ -23,6 +23,7 @@ from ordmed import (
     floyd_warshall,
     generate_ball,
     generate_uniform,
+    om_evaluate,
     ordered_contribution,
     parse_pmed,
     prefix_subsample,
@@ -127,6 +128,29 @@ def enumeration_corpus():
     return out
 
 
+def deep_corpus():
+    """The depths prefix extension adds beyond enumeration_corpus: p = 4 and
+    5, p = m - 1 and p = m, asymmetric costs at p = 4, and ball and uniform
+    cells at the certify size m = 24, p = 4."""
+    rng = np.random.default_rng(37)
+    families = ("center", "median", "ksum:2", "centdian:0.5")
+    out = []
+    for t, (m, p) in enumerate([(9, 4), (10, 5), (11, 4), (12, 5), (6, 5), (7, 6),
+                                (8, 7), (5, 5), (7, 7)]):
+        dist = (PointSet(rng.integers(0, 4, size=(m, 2)).astype(float)).distance_matrix()
+                if t % 2 else generate_ball(m, 2, 0.1, 1.0, seed=t)[1])
+        out.append(Instance(dist, resolve_weights(families[t % 4], m), p))
+    for _ in range(4):
+        m = int(rng.integers(6, 11))
+        d = rng.uniform(1.0, 5.0, size=(m, m))
+        np.fill_diagonal(d, 0.0)
+        out.append(matrix_instance(d, random_weights(rng, m), 4))
+    out.append(Instance(generate_ball(24, 2, 0.1, 1.0, seed=5)[1],
+                        resolve_weights("center", 24), 4))
+    out.append(Instance(generate_uniform(24, seed=6)[1], resolve_weights("median", 24), 4))
+    return out
+
+
 # Integer-grid instances where a BLAS matrix-vector product over a block
 # (OpenBLAS, x86-64) ranked two subsets differently from scoring each subset
 # alone, so a block score that depends on its block returns the wrong
@@ -153,6 +177,31 @@ class TestBlockedEnumeration:
         for inst in enumeration_corpus():
             assert same_solution(solve_enumeration(inst),
                                  per_subset_enumeration(inst))
+
+    def test_deep_prefixes_identical_to_per_subset_scan(self, monkeypatch):
+        # at 1 and 7 a single prefix has more extensions than the block
+        blocks = (1, 7, ordmed.exact.ENUMERATION_BLOCK)
+        for inst in deep_corpus():
+            expected = per_subset_enumeration(inst)
+            for block in blocks:
+                monkeypatch.setattr(ordmed.exact, "ENUMERATION_BLOCK", block)
+                assert same_solution(solve_enumeration(inst), expected)
+
+    @pytest.mark.parametrize("block", [1, 7, 100, ordmed.exact.ENUMERATION_BLOCK])
+    @pytest.mark.parametrize("m, p", [(5, 1), (9, 1), (7, 3), (9, 9), (12, 4), (24, 4)])
+    def test_blocks_are_bounded_and_cover_every_subset(self, monkeypatch, block, m, p):
+        rows = []
+
+        def scoring(d, weights):
+            rows.append(len(d))
+            return om_evaluate(d, weights)
+
+        monkeypatch.setattr(ordmed.exact, "ENUMERATION_BLOCK", block)
+        monkeypatch.setattr(ordmed.exact, "om_evaluate", scoring)
+        solve_enumeration(Instance(generate_uniform(m, seed=m)[1],
+                                   resolve_weights("median", m), p))
+        assert max(rows) <= max(block, m)
+        assert sum(rows) == math.comb(m, p)
 
     @pytest.mark.parametrize("coords, p, spec", ROUNDING_SENSITIVE)
     def test_rounding_sensitive_grids(self, coords, p, spec):
