@@ -11,8 +11,8 @@ import numpy as np
 from .certificates import (CertificateVerdict, DualCertificate,
                            make_certificate, verify_certificate)
 from .errors import ConvergenceError, SizeGuardError
-from .formulations import (DompModel, build_bep, fractionality_report,
-                           location_duals)
+from .formulations import (DompModel, build_bep, embed_integral,
+                           fractionality_report, location_duals)
 from .instance import CenterSolution, Instance
 from .lp_core import RESIDUAL_TOL, check_solution, solve_lp
 from .ordered_median import closest_allocation, om_evaluate, sorting_permutation
@@ -32,6 +32,9 @@ class RecoveryReport:
     to the nearest integer: at coincident points y_j may be 2 (y = [2, 1,
     1, 0, 1, 0] at m = 6, p = 5), and moving the excess to closed points
     gives a binary vector of equal value with y <= 1, so y is not clipped.
+    The solve starts at the embedded exact optimum, so a recovered cell
+    returns that integral vertex unless phase 2 finds a strictly better
+    one within the tolerance.
     gap_lp is (v_ip - v_lp) / v_ip clamped to [0, 1], and exactly 0 when
     recovered (so round-off inside the tolerance never prints as a gap) or
     when v_ip is 0. When recovered, certificate is read off the relaxation's
@@ -119,13 +122,16 @@ def solve_enumeration(inst: Instance) -> CenterSolution:
 def recovery_status(inst: Instance, *, model: DompModel | None = None) -> RecoveryReport:
     """Solve both ways and report whether the relaxation is exact here.
 
-    A model built from this very instance object may be passed to avoid
-    rebuilding (any other raises ParameterError). Both tolerances follow
-    the unit max(1, lam_1 * max d): v_lp is obj . x at a vertex whose
-    check_solution residual is at most RESIDUAL_TOL * unit, and it recovers
-    v_ip within RECOVERY_RTOL * |v_ip|, or RECOVERY_RTOL * unit when v_ip is
-    0. A vertex over the residual bound, or with v_lp above v_ip by more
-    than the recovery tolerance, raises ConvergenceError.
+    The enumeration runs first, and the simplex starts at its optimum
+    lifted by embed_integral: the start is feasible, so phase 1 is skipped
+    and phase 2 walks down from v_ip. A model built from this very instance
+    object may be passed to avoid rebuilding (any other raises
+    ParameterError). Both tolerances follow the unit max(1, lam_1 * max d):
+    v_lp is obj . x at a vertex whose check_solution residual is at most
+    RESIDUAL_TOL * unit, and it recovers v_ip within RECOVERY_RTOL * |v_ip|,
+    or RECOVERY_RTOL * unit when v_ip is 0. A vertex over the residual
+    bound, or with v_lp above v_ip by more than the recovery tolerance,
+    raises ConvergenceError.
 
     When recovered, the certificate is read off the same solve: alpha is
     the assignment rows' duals and omega minus the cardinality row's. With
@@ -143,7 +149,7 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     if model is None:
         model = build_bep(inst)
     t0 = time.perf_counter()
-    sol = solve_lp(model.lp)
+    sol = solve_lp(model.lp, start=embed_integral(inst, best, model))
     time_lp = time.perf_counter() - t0
     if not sol.is_optimal():
         raise ConvergenceError(f"relaxation solve ended {sol.status}",

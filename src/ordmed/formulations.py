@@ -139,40 +139,50 @@ def embed_integral(inst: Instance, sol: CenterSolution,
                    model: DompModel) -> np.ndarray:
     """Lift a center solution to a feasible LP vector of equal objective.
 
-    y and z are the indicators of sol. With allocation distances sorted
-    canonically as a_1 >= ... >= a_m and mu = lam - lam_m, the per-position
-    duals are v_m = 0, v_r = v_{r+1} + a_{r+1} * (mu_r - mu_{r+1}), and u at
-    the point sorted r-th is a_r * mu_r - v_r >= 0; v is constant on each run
-    and 0 on the tail, so v_s takes its run's value. Every row
-    u_i + v_r >= mu_r * d_i holds (with equality at r = sort position of i,
-    by a telescoping comparison against the monotone a), and the objective
-    collapses to sum_r a_r * (lam_m + mu_r), the ordered median value. Both
-    are checked to RESIDUAL_TOL * max(1, lam_1 * max d), recovery_status's
-    unit; only a solution of another instance can fail them.
+    y and z are the indicators of sol; sort its allocation distances
+    canonically as a_1 >= ... >= a_m. In BEP, with mu = lam - lam_m, the
+    per-position duals are v_m = 0, v_r = v_{r+1} + a_{r+1} * (mu_r -
+    mu_{r+1}), and u at the point sorted r-th is a_r * mu_r - v_r >= 0; v
+    is constant on each run and 0 on the tail, so v_s takes its run's
+    value. Every row u_i + v_r >= mu_r * d_i holds (with equality at r =
+    sort position of i, by a telescoping comparison against the monotone
+    a). In OT, t_s is a_{s+1}, the (s+1)-th largest distance, and q_is =
+    max(0, d_i - t_s), so step s prices the top-(s+1) sum exactly. Either
+    objective collapses to the ordered median value. The sorting rows and
+    the value are checked to RESIDUAL_TOL * max(1, lam_1 * max d),
+    recovery_status's unit; only a solution of another instance can fail
+    them.
     """
-    if model.lp.name != "bep":
-        raise ParameterError("integral embeddings are defined for the BEP model")
     model.require(inst)
     m = inst.m
     lam = inst.weights.lam
-    mu = lam - lam[-1]
+    d = sol.distances
     x = np.zeros(model.lp.n_vars)
     x[model.y[list(sol.centers)]] = 1.0
     x[model.z[np.arange(m), list(sol.assignment)]] = 1.0
-    order = list(sorting_permutation(sol.distances).order)
-    a = sol.distances[order]
-    v_sorted = np.zeros(m)
-    for r in range(m - 2, -1, -1):
-        v_sorted[r] = v_sorted[r + 1] + a[r + 1] * (mu[r] - mu[r + 1])
-    u = np.empty(m)
-    u[order] = a * mu - v_sorted
-    if model.u.size:
-        x[model.u] = u
-        x[model.v] = v_sorted[_steps(inst)]
+    order = list(sorting_permutation(d).order)
+    a = d[order]
+    if model.lp.name == "bep":
+        mu = lam - lam[-1]
+        v_sorted = np.zeros(m)
+        for r in range(m - 2, -1, -1):
+            v_sorted[r] = v_sorted[r + 1] + a[r + 1] * (mu[r] - mu[r + 1])
+        u = np.empty(m)
+        u[order] = a * mu - v_sorted
+        if model.u.size:
+            x[model.u] = u
+            x[model.v] = v_sorted[_steps(inst)]
+        # the tail column r = m (mu = v = 0) reads u >= 0
+        rows = u[:, None] + v_sorted - np.outer(d, mu)
+    else:
+        t = a[_steps(inst)]
+        q = np.maximum(0.0, d[:, None] - t)
+        x[model.t] = t
+        x[model.q] = q
+        rows = q + t - d[:, None]
     tol = RESIDUAL_TOL * max(1.0, inst.max_term)
-    # the tail column r = m (mu = v = 0) reads u >= 0
-    worst = float((u[:, None] + v_sorted - np.outer(sol.distances, mu)).min())
-    drift = abs(float(u.sum() + v_sorted.sum() + lam[-1] * a.sum()) - sol.value)
+    worst = float(rows.min(initial=0.0))
+    drift = abs(float(np.dot(model.lp.obj, x)) - sol.value)
     if worst < -tol or drift > tol:
         raise ParameterError(f"sol is no solution of this instance: sorting row "
                              f"violation {max(0.0, -worst):.3e}, value drift "

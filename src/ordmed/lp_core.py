@@ -10,6 +10,19 @@ the row's starting residual, so no row is ever flipped. Phase 1 minimizes
 the artificials; phase 2 pins them at zero and leaves any still basic in
 place, which also covers redundant equality rows.
 
+A solve starts at a point: by default every column at its finite lower
+bound, else its finite upper bound, else 0 (its resting value), or at a
+given start clipped to the bounds. The artificials absorb the start's row
+residuals. A column the start leaves off its resting value and its bounds
+is crashed into the basis (Bixby, ORSA J. Computing 1992): a zero-step
+swap with the basic that sits at a bound and has the largest pivot entry,
+or, where no such basic exists, a ratio-test step toward its resting
+value. One refactor follows, so every solve begins at a basic solution.
+Phase 1 runs only when the artificials' sum exceeds PHASE1_TOL times the
+right-hand-side scale, which is read at the default point whatever the
+start: a feasible start goes straight to phase 2, and a default start
+keeps every pivot of a solve without one.
+
 The solver keeps an explicit dense basis inverse with a rank-1 update per
 pivot, rebuilds it (and the basic values) from the original columns every
 REFACTOR_EVERY steps and before declaring a phase optimal, prices by the
@@ -113,7 +126,8 @@ class LpSolution:
     Dual sign convention under minimization: <= rows yield duals <= 0,
     >= rows yield duals >= 0, equality rows are unrestricted. upper_duals
     holds one multiplier per variable (0 unless its finite upper binds).
-    iterations counts simplex pivots plus bound flips over both phases.
+    iterations counts simplex pivots plus bound flips over both phases, and
+    the crash's swaps and steps; phase1_iterations counts those of phase 1.
     """
 
     status: str
@@ -123,6 +137,7 @@ class LpSolution:
     upper_duals: np.ndarray | None = None
     basis: frozenset[int] = frozenset()
     iterations: int = 0
+    phase1_iterations: int = 0
 
     def is_optimal(self) -> bool:
         return self.status == OPTIMAL
@@ -149,19 +164,26 @@ class _BoundedSimplex:
     Columns are the user columns, one slack per inequality row (coefficient
     +1, bounds [0, inf) for <= and (-inf, 0] for >=), then one artificial
     per row whose slack cannot start within its bounds, signed by that
-    row's starting residual. Nonbasic columns sit at a finite lower bound,
-    else at a finite upper bound, else at 0.
+    row's starting residual. A column rests at a finite lower bound, else
+    at a finite upper bound, else at 0; user columns start at start (their
+    resting values when None), and _crash leaves no nonbasic column off
+    its bounds and its resting value.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, start: np.ndarray | None = None):
         a_user, rels, b = lp.dense()
         k, n = a_user.shape
         ineq = np.array([i for i, rel in enumerate(rels) if rel != "="], dtype=int)
         le = np.array([rels[i] == "<=" for i in ineq], dtype=bool)
         lo = np.concatenate([lp.lower, np.where(le, 0.0, -np.inf)])
         hi = np.concatenate([lp.upper, np.where(le, np.inf, 0.0)])
-        x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+        rest = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+        x = rest.copy()
+        if start is not None:
+            x[:n] = np.clip(start, lo[:n], hi[:n])
 
+        # the degeneracy and phase-1 thresholds read the default point's scale
+        self.b_scale = 1.0 + float(np.max(np.abs(b - a_user @ rest[:n]), initial=0.0))
         resid = b - a_user @ x[:n]
         slack_ok = (lo[n:] <= resid[ineq]) & (resid[ineq] <= hi[n:])
         basis = np.full(k, -1, dtype=int)
@@ -181,6 +203,7 @@ class _BoundedSimplex:
         self.lo = np.concatenate([lo, np.zeros(len(art_rows))])
         self.hi = np.concatenate([hi, np.full(len(art_rows), np.inf)])
         self.x = np.concatenate([x, np.zeros(len(art_rows))])
+        self.rest = np.concatenate([rest, np.zeros(len(art_rows))])
         self.art = slice(art_start, total)
         self.c1 = np.zeros(total)
         self.c1[self.art] = 1.0
@@ -193,8 +216,8 @@ class _BoundedSimplex:
         self.degenerate_pivots = 0
         self.bland = False
         self.bland_budget = 5 * (self.k + total)
-        self.b_scale = 1.0 + float(np.max(np.abs(resid), initial=0.0))
         self.refactor()
+        self._crash()
 
     def refactor(self) -> None:
         """Rebuild B^-1 from the original columns and x_B from b - A_N x_N.
@@ -226,6 +249,37 @@ class _BoundedSimplex:
         self.x[self.basis] = self.binv @ (self.b - self.A @ x_nonbasic)
         self.stale = 0
 
+    def _crash(self) -> None:
+        """Bring each nonbasic column off its bounds and resting value into the basis.
+
+        In column order: a zero-step swap with the basic that sits at a
+        bound (within the degenerate step) and has the largest pivot entry
+        of at least PIVOT_SAFETY, whatever its sign. A column no such basic
+        can take moves toward its resting value by a ratio-test step instead,
+        entering the basis or landing there. Each counts as an iteration.
+        """
+        off = (self.lo < self.x) & (self.x < self.hi) & (self.x != self.rest)
+        for j in np.nonzero(off[:self.n] & ~self.is_basic[:self.n])[0].tolist():
+            col = self.A[:, j]
+            nz = np.nonzero(col)[0]
+            alpha = self.binv[:, nz] @ col[nz]
+            xb, lo, hi = self.x[self.basis], self.lo[self.basis], self.hi[self.basis]
+            at_bound = np.minimum(xb - lo, hi - xb) <= PIVOT_TOL * self.b_scale
+            pivots = np.where(at_bound, np.abs(alpha), 0.0)
+            r = int(np.argmax(pivots))
+            if pivots[r] >= PIVOT_SAFETY:
+                leaving = self.basis[r]
+                self.x[leaving] = lo[r] if xb[r] - lo[r] <= hi[r] - xb[r] else hi[r]
+                self._swap(j, r, alpha)
+                self.iterations += 1
+                self.stale += 1
+                continue
+            sign = 1.0 if self.x[j] < self.rest[j] else -1.0
+            r, theta = self._ratio_test(j, sign, alpha)
+            self._step(j, sign, r, theta, alpha)
+        if self.stale:
+            self.refactor()
+
     def _entering(self) -> tuple[int, float] | None:
         """Improving nonbasic column and its direction (+1 up, -1 down)."""
         cb = self.costs[self.basis]
@@ -245,11 +299,20 @@ class _BoundedSimplex:
             j = int(cand[np.argmax(np.abs(self.d[cand]))])
         return j, (1.0 if up[j] else -1.0)
 
-    def _ratio_test(self, j: int, delta: np.ndarray) -> tuple[int, float]:
+    def _stop(self, j: int, sign: float) -> float:
+        """Where column j, moving in direction sign, meets a bound or its rest."""
+        if (self.rest[j] - self.x[j]) * sign > 0.0:
+            return self.rest[j]
+        return self.hi[j] if sign > 0 else self.lo[j]
+
+    def _ratio_test(self, j: int, sign: float,
+                    alpha: np.ndarray) -> tuple[int, float]:
         """Blocking basis row and step length; row -1 means j flips bounds.
 
-        delta is the rate of change of the basic values per unit step.
+        The basic values change at rate -sign * alpha per unit step, and a
+        flip is measured from j's current value to _stop(j, sign).
         """
+        delta = -sign * alpha
         xb = self.x[self.basis]
         lo = self.lo[self.basis]
         hi = self.hi[self.basis]
@@ -260,7 +323,7 @@ class _BoundedSimplex:
         ratios[inc] = (hi[inc] - xb[inc]) / delta[inc]
         np.maximum(ratios, 0.0, out=ratios)
         theta = float(ratios.min(initial=np.inf))
-        flip = self.hi[j] - self.lo[j]
+        flip = abs(self._stop(j, sign) - self.x[j])
         if flip <= theta:
             return -1, flip
         ties = np.nonzero(ratios <= theta + RATIO_TIE_TOL * (1.0 + theta))[0]
@@ -282,25 +345,30 @@ class _BoundedSimplex:
         delta = -sign * alpha
         self.x[self.basis] += theta * delta
         if r < 0:
-            self.x[j] = self.hi[j] if sign > 0 else self.lo[j]
+            self.x[j] = self._stop(j, sign)
         else:
             self.x[j] += sign * theta
             leaving = self.basis[r]
             self.x[leaving] = self.lo[leaving] if delta[r] < 0 else self.hi[leaving]
-            self.is_basic[leaving] = False
-            self.is_basic[j] = True
-            self.basis[r] = j
-            row = self.binv[r] / alpha[r]
-            # the update touches only rows where alpha and columns where
-            # row are nonzero; both stay sparse on the ordered-median models
-            rows = np.nonzero(alpha)[0]
-            cols = np.nonzero(row)[0]
-            self.binv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
-            self.binv[r] = row
+            self._swap(j, r, alpha)
         self.iterations += 1
         self.stale += 1
         if self.stale >= REFACTOR_EVERY:
             self.refactor()
+
+    def _swap(self, j: int, r: int, alpha: np.ndarray) -> None:
+        """Column j replaces the basic of row r; alpha is B^-1 times j's column."""
+        leaving = self.basis[r]
+        self.is_basic[leaving] = False
+        self.is_basic[j] = True
+        self.basis[r] = j
+        row = self.binv[r] / alpha[r]
+        # the update touches only rows where alpha and columns where
+        # row are nonzero; both stay sparse on the ordered-median models
+        rows = np.nonzero(alpha)[0]
+        cols = np.nonzero(row)[0]
+        self.binv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
+        self.binv[r] = row
 
     def run(self, costs: np.ndarray) -> str:
         """Iterate under costs until optimal on a fresh B^-1, or unbounded."""
@@ -318,7 +386,7 @@ class _BoundedSimplex:
             col = self.A[:, j]
             nz = np.nonzero(col)[0]
             alpha = self.binv[:, nz] @ col[nz]
-            r, theta = self._ratio_test(j, -sign * alpha)
+            r, theta = self._ratio_test(j, sign, alpha)
             if math.isinf(theta):
                 return UNBOUNDED
             # A near-zero pivot on a stale inverse is usually accumulated
@@ -329,20 +397,40 @@ class _BoundedSimplex:
             self._step(j, sign, r, theta, alpha)
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase bounded-variable simplex; statuses are values, never exceptions."""
-    sim = _BoundedSimplex(lp)
-    if sim.run(sim.c1) == UNBOUNDED:
-        # the phase-1 objective is bounded below by zero; this is numerical
+def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
+    """Two-phase bounded-variable simplex; statuses are values, never exceptions.
+
+    start, when given, is a finite vector of lp.n_vars column values to
+    begin from (clipped to the bounds; it need not satisfy the rows), such
+    as embed_integral's lift of a known integral solution. A feasible start
+    skips phase 1, and phase 2 walks down from its value. None begins at
+    every column's resting value. Either way the result is a basic
+    solution: no nonbasic column lies strictly inside its bounds.
+    """
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (lp.n_vars,) or not np.all(np.isfinite(start)):
+            raise ParameterError(f"start must be {lp.n_vars} finite values")
+    sim = _BoundedSimplex(lp, start)
+    crashed = sim.iterations
+
+    def infeasible() -> bool:
+        return float(sim.c1 @ sim.x) > PHASE1_TOL * sim.b_scale
+
+    # the phase-1 objective is bounded below by zero; unbounded is numerical
+    if infeasible() and sim.run(sim.c1) == UNBOUNDED:
         raise ConvergenceError("phase 1 reported unbounded", sim.iterations)
-    if float(sim.c1 @ sim.x) > PHASE1_TOL * sim.b_scale:
-        return LpSolution(status=INFEASIBLE, iterations=sim.iterations)
+    phase1 = sim.iterations - crashed
+    if infeasible():
+        return LpSolution(status=INFEASIBLE, iterations=sim.iterations,
+                          phase1_iterations=phase1)
 
     # Pin the artificials at zero; a basic one leaves at the first pivot
     # that would move it, and one on a redundant row never moves.
     sim.hi[sim.art] = 0.0
     if sim.run(sim.c2) == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, iterations=sim.iterations)
+        return LpSolution(status=UNBOUNDED, iterations=sim.iterations,
+                          phase1_iterations=phase1)
 
     n = lp.n_vars
     x = sim.x[:n].copy()
@@ -356,6 +444,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         upper_duals=np.where(at_upper, np.minimum(sim.d[:n], 0.0), 0.0),
         basis=frozenset(int(j) for j in sim.basis if j < n),
         iterations=sim.iterations,
+        phase1_iterations=phase1,
     )
 
 

@@ -1,8 +1,12 @@
 """Shared fixture builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
-from ordmed import DistanceMatrix, Instance, PointSet, WeightVector, resolve_weights
+import ordmed.exact
+from ordmed import (DistanceMatrix, Instance, PointSet, WeightVector,
+                    closest_allocation, embed_integral, resolve_weights)
 
 # Five points on a line; every pairwise distance is distinct.
 T1_COORDS = (0.0, 1.0, 3.0, 7.0, 12.0)
@@ -36,3 +40,22 @@ def random_instance(rng, m, p, weights=None, dim=2) -> Instance:
 
 def matrix_instance(d, weights, p) -> Instance:
     return Instance(DistanceMatrix(np.asarray(d, dtype=float)), weights, p)
+
+
+def stop_above_the_optimum(monkeypatch, inst, build, centers):
+    """Make recovery_status's solve report the lift of a worse center set.
+
+    The real solve still runs, and its duals stay; only x becomes the
+    embedding of centers in build(inst), whose layout every model of inst's
+    shape and weights shares. At weights far below unit 1 that vertex passes
+    the residual gate, which is absolute there.
+    """
+    model = build(inst)
+    worse = closest_allocation(inst.dist, centers, inst.weights)
+    x = embed_integral(inst, worse, model)
+    solve = ordmed.exact.solve_lp
+
+    def above(lp, start=None):
+        return dataclasses.replace(solve(lp, start=start), x=x)
+
+    monkeypatch.setattr(ordmed.exact, "solve_lp", above)

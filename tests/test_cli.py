@@ -8,11 +8,12 @@ import shutil
 import numpy as np
 import pytest
 
-from ordmed import PointSet, resolve_weights, write_instance
+from ordmed import (Instance, PointSet, WeightVector, build_bep, build_ot,
+                    generate_ball, resolve_weights, write_instance)
 from ordmed.cli import main
 from ordmed.instance import WEIGHT_GRAMMAR
 
-from helpers import T1_COORDS
+from helpers import T1_COORDS, stop_above_the_optimum
 
 
 @pytest.fixture(scope="module")
@@ -123,19 +124,46 @@ class TestRelax:
         assert rec["v_lp"] == 18.0
         assert rec["recovered"] is True
 
-    @pytest.mark.parametrize("form", ["bep", "ot"])
-    def test_vertex_above_the_exact_optimum_is_one_error_line(
-            self, capsys, tmp_path, form):
+    @staticmethod
+    def weighted_ball(tmp_path, weight):
+        """ball seed 2 at m = 10, and a file: weights spec of ten weight."""
         path = tmp_path / "ball.txt"
         assert main(["generate", "ball", "--m", "10", "--clusters", "3",
                      "--radius", "0.5", "--sep", "4", "--seed", "2",
                      "-o", str(path)]) == 0
-        weights = tmp_path / "w.txt"
-        weights.write_text("1e-6 " * 10)
+        weights = tmp_path / f"w{weight}.txt"
+        weights.write_text(f"{weight} " * 10)
+        return str(path), f"file:{weights}"
+
+    @pytest.mark.parametrize("form", ["bep", "ot"])
+    def test_tiny_weights_match_the_unit_weights(self, capsys, tmp_path, form):
+        # At weights of ten 1e-6 a cold solve stopped 3.7e-4 above v_ip and
+        # the command failed; the warm start recovers there as at ten 1s.
+        got = {}
+        for weight in (1e-6, 1):
+            path, spec = self.weighted_ball(tmp_path, weight)
+            capsys.readouterr()
+            code, out, _ = run(capsys, "relax", "--formulation", form,
+                               "--instance", path, "--weights", spec, "--p", "3")
+            assert code == 0
+            got[weight] = pairs(out)
+        tiny, unit = got[1e-6], got[1]
+        for flag in ("recovered", "vertex_integral"):
+            assert tiny[flag] == unit[flag] == "true"
+        assert float(tiny["v_lp"]) / 1e-6 == pytest.approx(float(unit["v_lp"]),
+                                                          rel=1e-9)
+
+    @pytest.mark.parametrize("form", ["bep", "ot"])
+    def test_vertex_above_the_exact_optimum_is_one_error_line(
+            self, capsys, tmp_path, monkeypatch, form):
+        path, spec = self.weighted_ball(tmp_path, 1e-12)
+        points, dist = generate_ball(10, 3, 0.5, 4.0, seed=2)
+        inst = Instance(dist, WeightVector(np.full(10, 1e-12)), 3, points)
+        stop_above_the_optimum(monkeypatch, inst,
+                               build_bep if form == "bep" else build_ot, (0, 1, 2))
         capsys.readouterr()
         code, out, err = run(capsys, "relax", "--formulation", form,
-                             "--instance", str(path), "--weights",
-                             f"file:{weights}", "--p", "3")
+                             "--instance", path, "--weights", spec, "--p", "3")
         assert (code, out) == (1, "")
         assert err.startswith("error: relaxation value ")
         assert err.count("\n") == 1

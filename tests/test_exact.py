@@ -20,7 +20,9 @@ from ordmed import (
     build_ot,
     closest_allocation,
     data_path,
+    embed_integral,
     floyd_warshall,
+    fractionality_report,
     generate_ball,
     generate_uniform,
     om_evaluate,
@@ -34,7 +36,8 @@ from ordmed import (
 )
 
 from helpers import (matrix_instance, planar_instance, random_instance,
-                     random_points, random_weights, t1_instance)
+                     random_points, random_weights, stop_above_the_optimum,
+                     t1_instance)
 from oracles import assignment_beats_closest, domp_oracle
 
 
@@ -313,7 +316,8 @@ class TestRecoveryStatus:
         for module in (ordmed.exact, ordmed.certificates):
             solve = module.solve_lp
             monkeypatch.setattr(module, "solve_lp",
-                                lambda lp, solve=solve: calls.append(lp) or solve(lp))
+                                lambda lp, start=None, solve=solve:
+                                calls.append(lp) or solve(lp, start=start))
         for spec, p in (("median", 1), ("median", 2), ("center", 1)):
             inst = t1_instance(spec, p=p)
             for model in (None, build_ot(inst)):
@@ -390,13 +394,61 @@ class TestRecoveryStatus:
             recovery_status(copy, model=build_bep(inst))
 
     @pytest.mark.parametrize("build", [build_bep, build_ot])
-    def test_vertex_above_the_exact_optimum_raises(self, build):
-        # At weights of ten 1e-6 the solve stops at a vertex 3.7e-4 above
-        # v_ip, which the residual gate (absolute below unit 1) lets through.
+    def test_tiny_weights_match_the_unit_weights(self, build):
+        # At weights of ten 1e-6 a cold solve stopped at a vertex 3.7e-4 above
+        # v_ip. Started at the integral optimum it recovers, as at ten 1s.
         points, dist = generate_ball(10, 3, 0.5, 4.0, seed=2)
-        inst = Instance(dist, WeightVector(np.full(10, 1e-6)), 3, points)
+        tiny, unit = (recovery_status(inst, model=build(inst)) for inst in
+                      (Instance(dist, WeightVector(np.full(10, w)), 3, points)
+                       for w in (1e-6, 1.0)))
+        assert (tiny.recovered, tiny.vertex_integral, tiny.verdict.holds) \
+            == (unit.recovered, unit.vertex_integral, unit.verdict.holds) \
+            == (True, True, True)
+        assert tiny.v_lp / 1e-6 == pytest.approx(unit.v_lp, rel=1e-9)
+
+    @pytest.mark.parametrize("build", [build_bep, build_ot])
+    def test_vertex_above_the_exact_optimum_raises(self, monkeypatch, build):
+        # The integral optimum embeds as a feasible LP vector, so a vertex
+        # above it is a solver failure, never a verdict.
+        inst = t1_instance("median", p=1)
+        inst = Instance(inst.dist, WeightVector(np.full(5, 1e-12)), 1)
+        stop_above_the_optimum(monkeypatch, inst, build, (0,))
         with pytest.raises(ConvergenceError, match="exceeds the exact optimum"):
             recovery_status(inst, model=build(inst))
+
+    def test_the_solve_starts_at_the_embedded_optimum(self, monkeypatch):
+        # the enumeration optimum is feasible, so phase 1 takes no pivot
+        seen = []
+        solve = ordmed.exact.solve_lp
+
+        def recording(lp, start=None):
+            seen.append((start, solve(lp, start=start)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(ordmed.exact, "solve_lp", recording)
+        for seed in range(3):
+            points, dist = generate_ball(8, 3, 0.5, 4.0, seed=seed)
+            for spec in ("center", "median", "centdian:0.5"):
+                inst = Instance(dist, resolve_weights(spec, 8), 3, points)
+                for model in (build_bep(inst), build_ot(inst)):
+                    seen.clear()
+                    rep = recovery_status(inst, model=model)
+                    [(start, sol)] = seen
+                    assert np.array_equal(
+                        start, embed_integral(inst, rep.best_solution, model))
+                    assert sol.phase1_iterations == 0
+
+    @pytest.mark.parametrize("build", [build_bep, build_ot])
+    def test_recovered_cell_returns_the_integral_optimum(self, build):
+        # On the pmed1 prefix at m = 10 the cold vertex of this recovered
+        # cell is fractional; started at the embedded optimum, phase 2 finds
+        # no strictly better vertex and returns an integral one.
+        dist = prefix_subsample(floyd_warshall(parse_pmed(data_path("pmed1.txt"))), 10)
+        inst = Instance(dist, resolve_weights("centdian:0.5", 10), 3)
+        model = build(inst)
+        assert not fractionality_report(model, solve_lp(model.lp).x).integral
+        rep = recovery_status(inst, model=model)
+        assert rep.recovered and rep.vertex_integral and rep.verdict.holds
 
     def test_explicit_model_is_used(self):
         inst = t1_instance("median", p=1)
@@ -409,8 +461,8 @@ class TestRecoveryStatus:
         # even when its primal value still matches the exact optimum.
         solve = ordmed.exact.solve_lp
 
-        def perturbed(lp):
-            sol = solve(lp)
+        def perturbed(lp, start=None):
+            sol = solve(lp, start=start)
             return dataclasses.replace(sol, y=sol.y + 1e-6)
 
         monkeypatch.setattr(ordmed.exact, "solve_lp", perturbed)
@@ -423,8 +475,8 @@ class TestRecoveryStatus:
         # reject it explicitly rather than let it pass as "not too large".
         solve = ordmed.exact.solve_lp
 
-        def damaged(lp):
-            sol = solve(lp)
+        def damaged(lp, start=None):
+            sol = solve(lp, start=start)
             vec = getattr(sol, field).copy()
             vec[0] = np.nan
             return dataclasses.replace(sol, **{field: vec})
@@ -438,8 +490,8 @@ class TestRecoveryStatus:
         # disagrees with the vertex changes no number and no verdict.
         solve = ordmed.exact.solve_lp
 
-        def misvalued(lp):
-            return dataclasses.replace(solve(lp), value=17.0)
+        def misvalued(lp, start=None):
+            return dataclasses.replace(solve(lp, start=start), value=17.0)
 
         monkeypatch.setattr(ordmed.exact, "solve_lp", misvalued)
         report = recovery_status(t1_instance("median", p=1))

@@ -1,5 +1,7 @@
 """LP model builders: row/column structure, embeddings, equivalence."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -199,11 +201,18 @@ class TestEmbedding:
         assert rep.max_y_fractionality <= 1e-12
         assert rep.fractional_y == ()
 
-    def test_ot_model_rejected(self):
-        inst = t1_instance("median", p=1)
-        sol = closest_allocation(inst.dist, (2,), inst.weights)
-        with pytest.raises(ParameterError):
-            embed_integral(inst, sol, build_ot(inst))
+    def test_ot_embedding_is_integral_at_its_value(self):
+        # t_s is the (s+1)-th largest allocation distance, q_is its excess
+        for spec, (p, centers) in product(
+                ("median", "center", "ksum:2", "centdian:0.5"),
+                ((1, (2,)), (1, (0,)), (2, (1, 3)))):
+            inst = t1_instance(spec, p=p)
+            model = build_ot(inst)
+            sol = closest_allocation(inst.dist, centers, inst.weights)
+            x = embed_integral(inst, sol, model)
+            assert fractionality_report(model, x).integral
+            assert np.dot(model.lp.obj, x) == pytest.approx(sol.value, rel=1e-12)
+            assert np.all(x[model.q] >= 0.0)
 
     def test_solution_of_another_instance_rejected(self):
         # the center optimum of t1 has value 7, its median value is 22
@@ -322,16 +331,16 @@ class TestFullModelOracle:
 
     def test_embedded_optimum_is_feasible_at_its_value(self):
         for inst in oracle_corpus():
-            model = build_bep(inst)
             sol = solve_enumeration(inst)
-            x = embed_integral(inst, sol, model)
-            a, rels, b = model.lp.dense()
-            slack = a @ x - b
-            rels = np.array(rels)
-            assert np.all(slack[rels == ">="] >= -1e-9)
-            assert np.all(slack[rels == "<="] <= 1e-9)
-            assert np.all(np.abs(slack[rels == "="]) <= 1e-9)
-            assert np.all(x >= np.array(model.lp.lower) - 1e-12)
-            assert np.all(x <= np.array(model.lp.upper) + 1e-12)
-            value = float(np.dot(model.lp.obj, x))
-            assert abs(value - sol.value) <= 1e-9 * (1.0 + abs(sol.value))
+            for model in (build_bep(inst), build_ot(inst)):
+                x = embed_integral(inst, sol, model)
+                a, rels, b = model.lp.dense()
+                slack = a @ x - b
+                rels = np.array(rels)
+                assert np.all(slack[rels == ">="] >= -1e-9)
+                assert np.all(slack[rels == "<="] <= 1e-9)
+                assert np.all(np.abs(slack[rels == "="]) <= 1e-9)
+                assert np.all(x >= np.array(model.lp.lower) - 1e-12)
+                assert np.all(x <= np.array(model.lp.upper) + 1e-12)
+                value = float(np.dot(model.lp.obj, x))
+                assert abs(value - sol.value) <= 1e-9 * (1.0 + abs(sol.value))

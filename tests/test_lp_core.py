@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from ordmed import (ParameterError, build_bep, build_ot, lp_core,
-                    resolve_weights)
+from ordmed import (Instance, ParameterError, build_bep, build_ot,
+                    closest_allocation, embed_integral, generate_ball,
+                    generate_uniform, lp_core, resolve_weights)
 from ordmed.lp_core import (
     INFEASIBLE,
     OPTIMAL,
@@ -396,8 +398,8 @@ class TestBoundedPaths:
         switched = []
 
         class NoBudgetSimplex(lp_core._BoundedSimplex):
-            def __init__(self, lp):
-                super().__init__(lp)
+            def __init__(self, lp, start):
+                super().__init__(lp, start)
                 self.bland_budget = 0
 
             def run(self, costs):
@@ -417,11 +419,107 @@ class TestBoundedPaths:
         # The anti-cycling fallback normally engages only after thousands of
         # degenerate pivots; start it at once and require the same answers.
         class BlandSimplex(lp_core._BoundedSimplex):
-            def __init__(self, lp):
-                super().__init__(lp)
+            def __init__(self, lp, start):
+                super().__init__(lp, start)
                 self.bland = True
 
         monkeypatch.setattr(lp_core, "_BoundedSimplex", BlandSimplex)
         rng = np.random.default_rng(43)
         for _ in range(60):
             solve_against_oracle(*random_feasible_lp(rng, mixed_bounds=True))
+
+
+def rests_or_is_basic(lp, sol):
+    """No nonbasic column lies strictly inside its bounds (a free one rests at 0)."""
+    nonbasic = np.setdiff1d(np.arange(lp.n_vars), sorted(sol.basis))
+    x = sol.x[nonbasic]
+    lo = np.array(lp.lower)[nonbasic]
+    hi = np.array(lp.upper)[nonbasic]
+    return bool(np.all((x == lo) | (x == hi) | (np.isinf(lo) & (x == 0.0))))
+
+
+def start_corpus():
+    """Ball at m = 6 and 8, uniform at m = 7 and 9; four families; p = 1-3."""
+    for m in range(6, 10):
+        points, dist = (generate_ball(m, 2, 0.5, 4.0, seed=m) if m % 2 == 0
+                        else generate_uniform(m, seed=m))
+        for spec in ("center", "median", "ksum:2", "centdian:0.5"):
+            for p in (1, 2, 3):
+                yield Instance(dist, resolve_weights(spec, m), p, points)
+
+
+class TestStart:
+    """solve_lp(lp, start=x): a crash into the basis, then the usual phases."""
+
+    def test_every_embedded_allocation_reaches_the_cold_optimum(self):
+        # Every p-subset's closest allocation, optimal or not, lifts to a
+        # feasible start; the warm solve skips phase 1 and ends at a basic
+        # solution of the cold solve's value.
+        solves = 0
+        for inst in start_corpus():
+            unit = max(1.0, inst.max_term)
+            for build in (build_bep, build_ot):
+                model = build(inst)
+                cold = solve_lp(model.lp)
+                for centers in combinations(range(inst.m), inst.p):
+                    sol = closest_allocation(inst.dist, centers, inst.weights)
+                    warm = solve_lp(model.lp, start=embed_integral(inst, sol, model))
+                    assert warm.status == cold.status == OPTIMAL
+                    assert abs(warm.value - cold.value) <= RESIDUAL_TOL * unit
+                    assert check_solution(model.lp, warm).max_residual() \
+                        <= RESIDUAL_TOL * unit
+                    assert rests_or_is_basic(model.lp, warm)
+                    assert warm.phase1_iterations == 0
+                    solves += 1
+        assert solves == 2600
+
+    def test_random_infeasible_starts_still_solve(self):
+        # Starts off the rows and off the bounds: the artificials absorb the
+        # residuals, phase 1 runs, and the optimum is the cold one.
+        rng = np.random.default_rng(47)
+        for spec in ("center", "centdian:0.5"):
+            inst = random_instance(rng, 7, 2, weights=resolve_weights(spec, 7))
+            for build in (build_bep, build_ot):
+                lp = build(inst).lp
+                cold = solve_lp(lp)
+                for _ in range(5):
+                    warm = solve_lp(lp, start=rng.normal(0.0, 3.0, lp.n_vars))
+                    assert warm.status == OPTIMAL
+                    assert warm.phase1_iterations > 0
+                    assert warm.value == pytest.approx(cold.value, rel=1e-9)
+                    assert check_solution(lp, warm).max_residual() <= RESIDUAL_TOL
+                    assert rests_or_is_basic(lp, warm)
+        for _ in range(40):
+            c, rows, rels, b, lower, upper = random_feasible_lp(rng, mixed_bounds=True)
+            lp = build_lp(c, rows, rels, b, lower, upper)
+            warm = solve_lp(lp, start=rng.uniform(-6.0, 6.0, lp.n_vars))
+            value, _ = lp_vertex_oracle(c, rows, rels, b, upper, lower)
+            assert warm.status == OPTIMAL
+            assert warm.value == pytest.approx(value, abs=1e-8)
+            assert check_solution(lp, warm).max_residual() <= RESIDUAL_TOL
+            assert rests_or_is_basic(lp, warm)
+
+    def test_infeasible_lp_from_a_start(self):
+        lp = LinearProgram()
+        x = lp.add_variable()
+        lp.add_row({x: 1.0}, "<=", -1.0)
+        assert solve_lp(lp, start=[0.5]).status == INFEASIBLE
+
+    def test_free_column_off_zero_is_crashed(self):
+        # w = 3 is free and nonzero, so it enters the basis at no step; the
+        # start is feasible, so phase 1 takes no pivot.
+        lp = build_lp([1.0, 0.0], [[1.0, 1.0]], [">="], [1.0],
+                      [0.0, -INF], [INF, INF])
+        sol = solve_lp(lp, start=[0.0, 3.0])
+        assert sol.phase1_iterations == 0
+        assert sol.x.tolist() == pytest.approx([0.0, 1.0])
+        assert 1 in sol.basis
+
+    @pytest.mark.parametrize("start", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]],
+                                       [0.0, math.nan], [math.inf, 0.0]])
+    def test_malformed_start_rejected(self, start):
+        lp = LinearProgram()
+        lp.add_variable()
+        lp.add_variable()
+        with pytest.raises(ParameterError, match="start"):
+            solve_lp(lp, start=start)
