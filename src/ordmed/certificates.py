@@ -164,24 +164,29 @@ def search_certificate(inst: Instance, sol: CenterSolution, *, strict: bool = Fa
     if (lower > upper).any():
         return None, None
     lp = LinearProgram("certificate")
-    a_cols = [lp.add_variable(lower=lo, upper=hi)
-              for lo, hi in zip(lower.tolist(), upper.tolist())]
+    a_cols = lp.add_variables(np.zeros(inst.m), lower, upper)
     non_centers = np.setdiff1d(np.arange(inst.m), centers)
     omega = lp.add_variable(obj=1.0, lower=margin if non_centers.size else -np.inf)
-    for j in centers:
-        members = np.flatnonzero(assign == j)
-        coeffs = {a_cols[i]: 1.0 for i in members}
-        coeffs[omega] = -1.0
-        lp.add_row(coeffs, "=", float(wd[members, j].sum()))
-    for i in non_centers:
-        cap = {}
-        for t in np.flatnonzero(wd[:, i] < upper):
-            s = lp.add_variable()
-            lp.add_row({s: 1.0, a_cols[t]: -1.0}, ">=", -float(wd[t, i]))
-            cap[s] = 1.0
-        if cap:
-            cap[omega] = -1.0
-            lp.add_row(cap, "<=", -margin)
+    # center row c: the alphas of its members minus omega, at their wd sum
+    lp.add_rows(np.concatenate([np.searchsorted(centers, assign), np.arange(centers.size)]),
+                np.concatenate([a_cols, np.full(centers.size, omega)]),
+                np.concatenate([np.ones(inst.m), -np.ones(centers.size)]), "=",
+                [wd[assign == j, j].sum() for j in centers])
+    # surplus column s_p >= alpha_t - wd[t, i] for each pair p = (non-center
+    # non_centers[k], point t); each non-center's rows, then its cap row
+    k, t = np.nonzero(wd[:, non_centers].T < upper)
+    capped, block = np.unique(k, return_inverse=True)
+    s_rows = np.arange(k.size) + block
+    cap_rows = np.searchsorted(k, capped, side="right") + np.arange(capped.size)
+    s_cols = lp.add_variables(np.zeros(k.size))
+    rels = np.full(k.size + capped.size, ">=")
+    rels[cap_rows] = "<="
+    rhs = np.full(rels.size, -margin)
+    rhs[s_rows] = -wd[t, non_centers[k]]
+    lp.add_rows(np.concatenate([s_rows, s_rows, cap_rows[block], cap_rows]),
+                np.concatenate([s_cols, a_cols[t], s_cols, np.full(capped.size, omega)]),
+                np.concatenate([np.ones(k.size), -np.ones(k.size), np.ones(k.size),
+                                -np.ones(capped.size)]), rels, rhs)
     lp_sol = solve_lp(lp)
     if lp_sol.status == INFEASIBLE:
         return None, None

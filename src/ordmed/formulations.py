@@ -64,19 +64,37 @@ def _location_allocation(name: str, inst: Instance):
     follows from the assignment row, and a y_j > 1 can move its excess to
     some y_k < 1 (sum y = p <= m) at no cost, keeping every row. The dual of
     a bound y_j <= 1 would absorb the differences between open centers.
+    The three blocks are one add_rows of index arrays: assignment row i
+    holds z[i, :], linking row m + i * m + j holds z[i, j] and y[j], and
+    the cardinality row holds y.
     """
     m = inst.m
-    cost = inst.weights.lam[-1] * inst.dist.d
     lp = LinearProgram(name)
-    y = [lp.add_variable(0.0) for _ in range(m)]
-    z = [[lp.add_variable(c) for c in row] for row in cost.tolist()]
-    for zi in z:
-        lp.add_row(dict.fromkeys(zi, 1.0), "=", 1.0)
-    for zi in z:
-        for zij, yj in zip(zi, y):
-            lp.add_row({zij: 1.0, yj: -1.0}, "<=", 0.0)
-    lp.add_row(dict.fromkeys(y, 1.0), "=", float(inst.p))
+    cost = inst.weights.lam[-1] * inst.dist.d
+    yz = lp.add_variables(np.concatenate([np.zeros(m), cost.ravel()]))
+    y, z = yz[:m], yz[m:].reshape(m, m)
+    link = np.arange(m * m)
+    lp.add_rows(np.concatenate([link // m, m + link, m + link, np.full(m, m + m * m)]),
+                np.concatenate([z.ravel(), z.ravel(), y[link % m], y]),
+                np.concatenate([np.ones(2 * m * m), -np.ones(m * m), np.ones(m)]),
+                np.repeat(["=", "<=", "="], [m, m * m, 1]),
+                np.concatenate([np.ones(m), np.zeros(m * m), [inst.p]]))
     return lp, _frozen_array(y, np.intp), _frozen_array(z, np.intp)
+
+
+def _sorting_rows(lp: LinearProgram, z: np.ndarray, own: np.ndarray,
+                  shared: np.ndarray, scale: np.ndarray, d: np.ndarray) -> None:
+    """One add_rows of rows i * S + s: own[i * S + s] + shared[s] - scale[s] * d[i] . z[i] >= 0.
+
+    S is len(shared); S = 0 adds no row.
+    """
+    m, n_steps = len(d), shared.size
+    rows = np.arange(m * n_steps)
+    lp.add_rows(np.concatenate([rows.repeat(m), rows, rows]),
+                np.concatenate([z.repeat(n_steps, axis=0).ravel(), own.ravel(),
+                                shared[rows % n_steps]]),
+                np.concatenate([(-scale[:, None] * d[:, None, :]).ravel(),
+                                np.ones(2 * rows.size)]), ">=", np.zeros(rows.size))
 
 
 def location_duals(model: DompModel, row_duals: np.ndarray) -> tuple[np.ndarray, float]:
@@ -98,15 +116,9 @@ def build_bep(inst: Instance) -> DompModel:
     lam = inst.weights.lam
     steps = _steps(inst)
     lp, y, z = _location_allocation("bep", inst)
-    u = [lp.add_variable(1.0) for _ in range(inst.m if steps.size else 0)]
-    v = [lp.add_free_variable(n) for n in np.diff(steps, prepend=-1).tolist()]
-    mu = lam[steps] - lam[-1]
-    for i, (zi, ui) in enumerate(zip(z.tolist(), u)):
-        for mu_s, vs in zip(mu, v):
-            coeffs = dict(zip(zi, (-mu_s * inst.dist.d[i]).tolist()))
-            coeffs[ui] = 1.0
-            coeffs[vs] = 1.0
-            lp.add_row(coeffs, ">=", 0.0)
+    u = lp.add_variables(np.ones(inst.m if steps.size else 0))
+    v = lp.add_variables(steps - np.concatenate([[-1], steps[:-1]]), lower=-np.inf)
+    _sorting_rows(lp, z, np.repeat(u, v.size), v, lam[steps] - lam[-1], inst.dist.d)
     return DompModel(lp=lp, inst=inst, y=y, z=z, u=_frozen_array(u, np.intp),
                      v=_frozen_array(v, np.intp))
 
@@ -122,15 +134,9 @@ def build_ot(inst: Instance) -> DompModel:
     steps = _steps(inst)
     deltas = inst.weights.deltas()[steps]
     lp, y, z = _location_allocation("ot", inst)
-    t = [lp.add_free_variable(c) for c in (deltas * (steps + 1)).tolist()]
-    q = [[lp.add_variable(c) for c in deltas.tolist()] for _ in range(inst.m)]
-    for i, (zi, qi) in enumerate(zip(z.tolist(), q)):
-        tail = dict(zip(zi, (-inst.dist.d[i]).tolist()))
-        for qis, ts in zip(qi, t):
-            coeffs = dict(tail)
-            coeffs[qis] = 1.0
-            coeffs[ts] = 1.0
-            lp.add_row(coeffs, ">=", 0.0)
+    t = lp.add_variables(deltas * (steps + 1), lower=-np.inf)
+    q = lp.add_variables(np.tile(deltas, inst.m)).reshape(inst.m, steps.size)
+    _sorting_rows(lp, z, q, t, np.ones(steps.size), inst.dist.d)
     return DompModel(lp=lp, inst=inst, y=y, z=z, t=_frozen_array(t, np.intp),
                      q=_frozen_array(q, np.intp))
 

@@ -1,40 +1,34 @@
 """Self-contained bounded-variable revised simplex.
 
-The model is minimization with rows of relation <=, =, or >= and simple
-variable bounds (default lower 0; free variables allowed). Bounds are
-enforced at the ratio test (Dantzig 1955; Chvatal, Linear Programming,
-ch. 8), so no bound becomes a row and no free column is split. Each
-inequality row gets one slack. Artificials are added only for equality
-rows and rows whose slack cannot start within its bounds, each signed by
-the row's starting residual, so no row is ever flipped. Phase 1 minimizes
-the artificials; phase 2 pins them at zero and leaves any still basic in
-place, which also covers redundant equality rows.
-
-A solve starts at a point: by default every column at its finite lower
-bound, else its finite upper bound, else 0 (its resting value), or at a
-given start clipped to the bounds. The artificials absorb the start's row
-residuals. A column the start leaves off its resting value and its bounds
-is crashed into the basis (Bixby, ORSA J. Computing 1992): a zero-step
-swap with the basic that sits at a bound and has the largest pivot entry,
-or, where no such basic exists, a ratio-test step toward its resting
-value. One refactor follows, so every solve begins at a basic solution.
+Minimization over rows of relation <=, = or >= and column bounds (default
+lower 0; free columns allowed). Bounds are enforced at the ratio test
+(Dantzig 1955; Chvatal, Linear Programming, ch. 8): no bound becomes a
+row and no free column is split. Each inequality row gets a slack; each
+equality row, and each row whose slack cannot start within its bounds,
+gets an artificial signed by its starting residual, so no row is flipped.
+Phase 1 minimizes the artificials; phase 2 pins them at zero and leaves
+any still basic in place, which covers redundant equality rows. A solve
+starts at every column's resting value (finite lower bound, else finite
+upper, else 0) or at a given start, whose columns off their bounds and
+resting values are crashed into the basis (_crash; Bixby, ORSA J.
+Computing 1992), then refactors: every solve begins at a basic solution.
 Phase 1 runs only when the artificials' sum exceeds PHASE1_TOL times the
-right-hand-side scale, which is read at the default point whatever the
-start: a feasible start goes straight to phase 2, and a default start
-keeps every pivot of a solve without one.
+right-hand-side scale read at the default point, so a feasible start
+goes straight to phase 2 and a default start keeps every pivot.
 
-The solver keeps an explicit dense basis inverse with a rank-1 update per
-pivot, rebuilds it (and the basic values) from the original columns every
-REFACTOR_EVERY steps and before declaring a phase optimal, prices by the
-largest improving reduced cost, and switches to Bland's rule after a
-budget of degenerate pivots to guarantee termination.
+The dense basis inverse is kept transposed (binvt row i is B^-1 column
+i): FTRAN sums the rows where the entering column is nonzero, a pivot's
+rank-1 update rewrites the rows where the new pivot row is nonzero, and
+BTRAN gathers the columns of nonzero basic costs. It and x_B are rebuilt
+from LinearProgram.dense() every REFACTOR_EVERY steps and before a phase
+is declared optimal. Pricing takes the largest improving reduced cost;
+Bland's rule after a budget of degenerate pivots guarantees termination.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -57,66 +51,80 @@ PHASE1_TOL = 1e-7  # phase-1 value, over the rhs scale, above which an LP is inf
 class LinearProgram:
     """Builder for a minimization LP: columns and rows are plain indices.
 
-    name labels the model (for example "bep", "ot" or "certificate"); a
-    column or row carries no name of its own.
+    Columns and rows come one at a time or as blocks; a row block is triples
+    (row, column, coefficient), the storage of every row, and a repeated
+    pair adds up. dense() assembles the matrix once after the last addition
+    and hands every caller that read-only copy. name labels the model
+    ("bep", "ot", "certificate"); columns and rows carry no names.
     """
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self.obj: list[float] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.rows: list[tuple[dict[int, float], str, float]] = []
+        self.obj, self.lower, self.upper = np.empty(0), np.empty(0), np.empty(0)
+        self.n_rows = 0
+        self._dense = None
+        # (row, column, coefficient, relation, rhs) arrays; the first block is
+        # empty and gives every field its dtype
+        self._blocks = [(np.empty(0, np.intp),) * 2 + (np.empty(0), np.empty(0, "<U2"),
+                                                       np.empty(0))]
 
     @property
     def n_vars(self) -> int:
-        return len(self.obj)
+        return self.obj.size
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    def add_variables(self, obj, lower=0.0, upper=math.inf) -> np.ndarray:
+        """Add a block of columns; lower and upper broadcast to obj's length."""
+        obj = np.array(obj, dtype=float).ravel()
+        lower = np.full(obj.size, lower, dtype=float)
+        upper = np.full(obj.size, upper, dtype=float)
+        if not ((lower <= upper) & ((lower > -math.inf) | np.isinf(upper))).all():
+            raise ParameterError("bounds must be nonempty, a free column's upper infinite")
+        first = self.n_vars
+        self.obj, self.lower, self.upper = (np.concatenate(pair) for pair in (
+            (self.obj, obj), (self.lower, lower), (self.upper, upper)))
+        self._dense = None
+        return np.arange(first, self.n_vars)
 
     def add_variable(self, obj: float = 0.0, lower: float = 0.0,
                      upper: float = math.inf) -> int:
-        if not (lower <= upper):
-            raise ParameterError(f"variable bounds [{lower}, {upper}] are empty")
-        if math.isinf(lower) and lower < 0 and math.isfinite(upper):
-            raise ParameterError("free variables may not carry a finite upper bound")
-        self.obj.append(float(obj))
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        return len(self.obj) - 1
+        return int(self.add_variables([obj], lower, upper)[0])
 
-    def add_free_variable(self, obj: float = 0.0) -> int:
-        return self.add_variable(obj, lower=-math.inf)
+    def add_rows(self, row, col, coef, rel, rhs) -> None:
+        """Add len(rhs) rows of triples (row within the block, col, coef); rel: one or per row."""
+        rhs = np.array(rhs, dtype=float).ravel()
+        rels = np.full(rhs.size, rel)
+        row, col = (np.array(v, dtype=np.intp).ravel() for v in (row, col))
+        coef = np.array(coef, dtype=float).ravel()
+        if not ((rels == "<=") | (rels == "=") | (rels == ">=")).all():
+            raise ParameterError(f"relation must be <=, =, or >=, got {rel!r}")
+        if not (row.shape == col.shape == coef.shape and np.isfinite(coef).all()
+                and np.isfinite(rhs).all()):
+            raise ParameterError("row triples must align; coefficients and rhs be finite")
+        # read as unsigned, a negative index is out of range too
+        if row.size and (row.view(np.uintp).max() >= rhs.size
+                         or col.view(np.uintp).max() >= self.n_vars):
+            raise ParameterError("row triples must name block rows and known variables")
+        self._blocks.append((row + self.n_rows, col, coef, rels, rhs))
+        self._dense = None
+        self.n_rows += rhs.size
 
     def add_row(self, coeffs, rel: str, rhs: float) -> int:
         """Add a row; coeffs is a {var index: coefficient} map or pair iterable."""
-        if rel not in ("<=", "=", ">="):
-            raise ParameterError(f"relation must be <=, =, or >=, got {rel!r}")
-        if not math.isfinite(rhs):
-            raise ParameterError("row rhs must be finite")
         cmap = dict(coeffs)
-        for j, a in cmap.items():
-            if not (0 <= j < self.n_vars):
-                raise ParameterError(f"row references unknown variable {j}")
-            if not math.isfinite(a):
-                raise ParameterError("row coefficients must be finite")
-        self.rows.append((cmap, rel, float(rhs)))
-        return len(self.rows) - 1
+        self.add_rows(np.zeros(len(cmap)), list(cmap), list(cmap.values()), rel, [rhs])
+        return self.n_rows - 1
 
-    def dense(self) -> tuple[np.ndarray, list[str], np.ndarray]:
-        """Rows as (A, relations, b) with A dense of shape (n_rows, n_vars)."""
-        maps = [cmap for cmap, _, _ in self.rows]
-        i = np.repeat(np.arange(len(maps)), [len(cmap) for cmap in maps])
-        j = np.fromiter(chain.from_iterable(maps), dtype=np.intp, count=len(i))
-        a = np.zeros((self.n_rows, self.n_vars))
-        # += (not =) stores a -0.0 coefficient as +0.0; (i, j) pairs are unique
-        a[i, j] += np.fromiter(chain.from_iterable(cmap.values() for cmap in maps),
-                               dtype=float, count=len(i))
-        rels = [rel for _, rel, _ in self.rows]
-        b = np.array([rhs for _, _, rhs in self.rows], dtype=float)
-        return a, rels, b
+    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows as read-only (A, relations, b), A dense of shape (n_rows, n_vars)."""
+        if self._dense is None:
+            row, col, coef, rels, b = (np.concatenate(f) for f in zip(*self._blocks))
+            # bincount adds from +0.0, so a -0.0 coefficient lands as +0.0
+            a = np.bincount(row * self.n_vars + col, weights=coef,
+                            minlength=self.n_rows * self.n_vars)
+            for v in (a, rels, b):
+                v.flags.writeable = False
+            self._dense = a.reshape(self.n_rows, self.n_vars), rels, b
+        return self._dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,14 +175,15 @@ class _BoundedSimplex:
     row's starting residual. A column rests at a finite lower bound, else
     at a finite upper bound, else at 0; user columns start at start (their
     resting values when None), and _crash leaves no nonbasic column off
-    its bounds and its resting value.
+    its bounds and its resting value. Slack or artificial c is the unit
+    vector of row unit_rows[c] times unit_sign[c].
     """
 
     def __init__(self, lp: LinearProgram, start: np.ndarray | None = None):
         a_user, rels, b = lp.dense()
         k, n = a_user.shape
-        ineq = np.array([i for i, rel in enumerate(rels) if rel != "="], dtype=int)
-        le = np.array([rels[i] == "<=" for i in ineq], dtype=bool)
+        ineq = np.flatnonzero(rels != "=")
+        le = rels[ineq] == "<="
         lo = np.concatenate([lp.lower, np.where(le, 0.0, -np.inf)])
         hi = np.concatenate([lp.upper, np.where(le, np.inf, 0.0)])
         rest = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
@@ -191,15 +200,14 @@ class _BoundedSimplex:
         art_rows = np.nonzero(basis < 0)[0]
         art_start = n + len(ineq)
         basis[art_rows] = art_start + np.arange(len(art_rows))
-        # slack and artificial columns are signed unit vectors of these rows
         self.unit_rows = np.concatenate([ineq, art_rows])
         self.unit_sign = np.concatenate(
             [np.ones(len(ineq)), np.where(resid[art_rows] < 0.0, -1.0, 1.0)])
         self.n = n
+        self.k = k
         self.a_user = a_user
-        self.A = np.hstack([a_user, np.eye(k)[:, self.unit_rows] * self.unit_sign])
         self.b = b
-        self.k, total = self.A.shape
+        total = art_start + len(art_rows)
         self.lo = np.concatenate([lo, np.zeros(len(art_rows))])
         self.hi = np.concatenate([hi, np.full(len(art_rows), np.inf)])
         self.x = np.concatenate([x, np.zeros(len(art_rows))])
@@ -223,15 +231,15 @@ class _BoundedSimplex:
         """Rebuild B^-1 from the original columns and x_B from b - A_N x_N.
 
         Basic slacks and artificials are signed unit columns, so only the
-        block of structural basic columns on the rows no unit column covers
+        block G of structural basic columns on the rows no unit column covers
         is inverted; the rest of B^-1 follows by block elimination.
         """
-        n = self.n
-        pos_u = np.nonzero(self.basis >= n)[0]
-        pos_s = np.nonzero(self.basis < n)[0]
+        n, k = self.n, self.k
+        pos_u = np.flatnonzero(self.basis >= n)
+        pos_s = np.flatnonzero(self.basis < n)
         rows_u = self.unit_rows[self.basis[pos_u] - n]
         sign_u = self.unit_sign[self.basis[pos_u] - n]
-        rows_s = np.setdiff1d(np.arange(self.k), rows_u)
+        rows_s = np.flatnonzero(np.bincount(rows_u, minlength=k) == 0)
         cols = self.a_user[:, self.basis[pos_s]]
         try:
             if len(rows_s) != len(pos_s):
@@ -241,13 +249,27 @@ class _BoundedSimplex:
             raise ConvergenceError(
                 f"basis matrix became singular: {exc}", self.iterations
             )
-        self.binv = np.zeros((self.k, self.k))
-        self.binv[np.ix_(pos_s, rows_s)] = g
-        self.binv[np.ix_(pos_u, rows_s)] = -sign_u[:, None] * (cols[rows_u] @ g)
-        self.binv[pos_u, rows_u] = sign_u
-        x_nonbasic = np.where(self.is_basic, 0.0, self.x)
-        self.x[self.basis] = self.binv @ (self.b - self.A @ x_nonbasic)
+        # the transposes of B^-1's blocks: g on (pos_s, rows_s), -sign_u *
+        # (cols[rows_u] @ g) on (pos_u, rows_s), sign_u on (pos_u, rows_u)
+        top = np.empty((len(rows_s), k))
+        top[:, pos_s] = g.T
+        top[:, pos_u] = (-sign_u[:, None] * (cols[rows_u] @ g)).T
+        self.binvt = np.zeros((k, k))
+        self.binvt[rows_s] = top
+        self.binvt[rows_u, pos_u] = sign_u
+        xn = np.where(self.is_basic, 0.0, self.x)
+        r = self.b - self.a_user @ xn[:n] \
+            - np.bincount(self.unit_rows, self.unit_sign * xn[n:], minlength=k)
+        self.x[self.basis] = r @ self.binvt
         self.stale = 0
+
+    def _ftran(self, j: int) -> np.ndarray:
+        """alpha = B^-1 times column j, from the rows where that column is nonzero."""
+        if j >= self.n:
+            return self.unit_sign[j - self.n] * self.binvt[self.unit_rows[j - self.n]]
+        col = self.a_user[:, j]
+        nz = col.nonzero()[0]
+        return col[nz] @ self.binvt[nz]
 
     def _crash(self) -> None:
         """Bring each nonbasic column off its bounds and resting value into the basis.
@@ -260,9 +282,7 @@ class _BoundedSimplex:
         """
         off = (self.lo < self.x) & (self.x < self.hi) & (self.x != self.rest)
         for j in np.nonzero(off[:self.n] & ~self.is_basic[:self.n])[0].tolist():
-            col = self.A[:, j]
-            nz = np.nonzero(col)[0]
-            alpha = self.binv[:, nz] @ col[nz]
+            alpha = self._ftran(j)
             xb, lo, hi = self.x[self.basis], self.lo[self.basis], self.hi[self.basis]
             at_bound = np.minimum(xb - lo, hi - xb) <= PIVOT_TOL * self.b_scale
             pivots = np.where(at_bound, np.abs(alpha), 0.0)
@@ -281,23 +301,21 @@ class _BoundedSimplex:
             self.refactor()
 
     def _entering(self) -> tuple[int, float] | None:
-        """Improving nonbasic column and its direction (+1 up, -1 down)."""
+        """Improving nonbasic column (largest |d|, lowest index) and its direction."""
         cb = self.costs[self.basis]
-        nz = np.nonzero(cb)[0]
-        self.y = cb[nz] @ self.binv[nz]
-        self.d = self.costs - np.concatenate(
+        nz = cb.nonzero()[0]
+        self.y = self.binvt[:, nz] @ cb[nz]
+        d = self.d = self.costs - np.concatenate(
             [self.y @ self.a_user, self.y[self.unit_rows] * self.unit_sign])
-        nonbasic = ~self.is_basic
-        up = nonbasic & (self.d < -PIVOT_TOL) & (self.x < self.hi)
-        down = nonbasic & (self.d > PIVOT_TOL) & (self.x > self.lo)
-        cand = np.nonzero(up | down)[0]
-        if not cand.size:
+        # |d| when the column has room in its improving direction, else <= 0
+        score = np.maximum(np.where(self.x < self.hi, -d, 0.0),
+                           np.where(self.x > self.lo, d, 0.0))
+        score[self.basis] = 0.0
+        improving = score > PIVOT_TOL
+        j = int(improving.argmax() if self.bland else score.argmax())
+        if not improving[j]:
             return None
-        if self.bland:
-            j = int(cand[0])
-        else:
-            j = int(cand[np.argmax(np.abs(self.d[cand]))])
-        return j, (1.0 if up[j] else -1.0)
+        return j, (1.0 if d[j] < 0.0 else -1.0)
 
     def _stop(self, j: int, sign: float) -> float:
         """Where column j, moving in direction sign, meets a bound or its rest."""
@@ -309,31 +327,28 @@ class _BoundedSimplex:
                     alpha: np.ndarray) -> tuple[int, float]:
         """Blocking basis row and step length; row -1 means j flips bounds.
 
-        The basic values change at rate -sign * alpha per unit step, and a
-        flip is measured from j's current value to _stop(j, sign).
+        The basic values change at rate -sign * alpha per unit step; only
+        rows with |alpha| > PIVOT_TOL can block. A flip is measured from j's
+        current value to _stop(j, sign).
         """
-        delta = -sign * alpha
-        xb = self.x[self.basis]
-        lo = self.lo[self.basis]
-        hi = self.hi[self.basis]
-        ratios = np.full(self.k, np.inf)
-        dec = delta < -PIVOT_TOL
-        inc = delta > PIVOT_TOL
-        ratios[dec] = (xb[dec] - lo[dec]) / -delta[dec]
-        ratios[inc] = (hi[inc] - xb[inc]) / delta[inc]
-        np.maximum(ratios, 0.0, out=ratios)
+        rows = (np.abs(alpha) > PIVOT_TOL).nonzero()[0]
+        basic = self.basis[rows]
+        delta = -sign * alpha[rows]
+        xb = self.x[basic]
+        room = np.where(delta < 0.0, xb - self.lo[basic], self.hi[basic] - xb)
+        ratios = np.maximum(room / np.abs(delta), 0.0)
         theta = float(ratios.min(initial=np.inf))
         flip = abs(self._stop(j, sign) - self.x[j])
         if flip <= theta:
             return -1, flip
-        ties = np.nonzero(ratios <= theta + RATIO_TIE_TOL * (1.0 + theta))[0]
+        ties = (ratios <= theta + RATIO_TIE_TOL * (1.0 + theta)).nonzero()[0]
         if self.bland:
             # the smallest basic-variable id among the ties keeps Bland valid
-            r = int(ties[np.argmin(self.basis[ties])])
+            r = int(rows[ties[basic[ties].argmin()]])
         else:
             # the largest pivot entry among the ties; a pivot barely above
             # PIVOT_TOL amplifies round-off by its reciprocal
-            r = int(ties[np.argmax(np.abs(delta[ties]))])
+            r = int(rows[ties[np.abs(delta[ties]).argmax()]])
         if theta <= PIVOT_TOL * self.b_scale:
             self.degenerate_pivots += 1
             if self.degenerate_pivots > self.bland_budget:
@@ -357,18 +372,18 @@ class _BoundedSimplex:
             self.refactor()
 
     def _swap(self, j: int, r: int, alpha: np.ndarray) -> None:
-        """Column j replaces the basic of row r; alpha is B^-1 times j's column."""
+        """Column j replaces the basic of row r; alpha is B^-1 times j's column.
+
+        Pivot row r of B^-1 is binvt's column r; binvt row c loses row[c] * alpha.
+        """
         leaving = self.basis[r]
         self.is_basic[leaving] = False
         self.is_basic[j] = True
         self.basis[r] = j
-        row = self.binv[r] / alpha[r]
-        # the update touches only rows where alpha and columns where
-        # row are nonzero; both stay sparse on the ordered-median models
-        rows = np.nonzero(alpha)[0]
-        cols = np.nonzero(row)[0]
-        self.binv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
-        self.binv[r] = row
+        row = self.binvt[:, r] / alpha[r]
+        cols = row.nonzero()[0]
+        self.binvt[cols] -= row[cols, None] * alpha
+        self.binvt[:, r] = row
 
     def run(self, costs: np.ndarray) -> str:
         """Iterate under costs until optimal on a fresh B^-1, or unbounded."""
@@ -383,9 +398,7 @@ class _BoundedSimplex:
                 self.refactor()
                 continue
             j, sign = entering
-            col = self.A[:, j]
-            nz = np.nonzero(col)[0]
-            alpha = self.binv[:, nz] @ col[nz]
+            alpha = self._ftran(j)
             r, theta = self._ratio_test(j, sign, alpha)
             if math.isinf(theta):
                 return UNBOUNDED
@@ -465,11 +478,9 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> ResidualReport:
     x = np.asarray(sol.x, dtype=float)
     y = np.asarray(sol.y, dtype=float)
     mu = np.asarray(sol.upper_duals, dtype=float)
-    lower = np.array(lp.lower)
-    upper = np.array(lp.upper)
+    lower, upper = lp.lower, lp.upper
 
-    rel = np.array(rels)
-    le, ge = rel == "<=", rel == ">="
+    le, ge = rels == "<=", rels == ">="
     finite_lo = np.isfinite(lower)
     finite_up = np.isfinite(upper)
 
@@ -480,7 +491,7 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> ResidualReport:
         _worst(x[finite_up] - upper[finite_up]))
 
     # reduced costs implied by (y, mu): rc = c - A^T y - mu
-    rc = np.array(lp.obj) - a.T @ y - mu
+    rc = lp.obj - a.T @ y - mu
     dual = max(
         _worst(y[le]),   # must be <= 0
         _worst(-y[ge]),  # must be >= 0

@@ -50,13 +50,18 @@ def om_evaluate(d, weights: WeightVector) -> float | np.ndarray:
 
     The one ordered-median kernel. Rows are sorted ascending and dotted with
     the reversed weights by einsum, which (optimize off) calls no BLAS, so
-    row k of a stack gets exactly the bits it gets alone.
+    row k of a stack gets exactly the bits it gets alone. With only lam_1
+    nonzero the other terms are 0 * cost, so lam_1 times the columns'
+    elementwise maximum gives the same bits on finite costs, unsorted.
     """
     d = np.asarray(d, dtype=float)
     if d.shape[-1:] != (weights.m,):
         raise ParameterError(f"cost shape {d.shape} does not end in weight length {weights.m}")
-    rows = np.sort(d.reshape(-1, weights.m), axis=1)
-    values = np.einsum("ij,j->i", rows, weights.lam[::-1])
+    rows = d.reshape(-1, weights.m)
+    if weights.lam[1:].any():
+        values = np.einsum("ij,j->i", np.sort(rows, axis=1), weights.lam[::-1])
+    else:  # + 0.0 makes a -0.0 product the +0.0 that the sum starts from
+        values = weights.lam[0] * np.ascontiguousarray(rows.T).max(axis=0) + 0.0
     return float(values[0]) if d.ndim == 1 else values.reshape(d.shape[:-1])
 
 

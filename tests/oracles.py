@@ -164,8 +164,8 @@ def full_bep_lp(inst):
     lp = LinearProgram("full_bep")
     y = [lp.add_variable(0.0, upper=1.0) for _ in range(m)]
     z = [[lp.add_variable(0.0, upper=1.0) for _ in range(m)] for _ in range(m)]
-    u = [lp.add_free_variable(1.0) for _ in range(m)]
-    v = [lp.add_free_variable(1.0) for _ in range(m)]
+    u = [lp.add_variable(1.0, lower=-np.inf) for _ in range(m)]
+    v = [lp.add_variable(1.0, lower=-np.inf) for _ in range(m)]
     for i in range(m):
         lp.add_row({z[i][j]: 1.0 for j in range(m)}, "=", 1.0)
         for j in range(m):
@@ -196,8 +196,8 @@ def full_certificate_lp(inst, sol, margin):
     w = inst.weights.lam[sorting_permutation(sol.distances).rank_of()]
     centers = list(sol.centers)
     lp = LinearProgram("full_certificate")
-    a_cols = [lp.add_free_variable() for _ in range(m)]
-    omega = lp.add_free_variable(obj=1.0)
+    a_cols = [lp.add_variable(lower=-np.inf) for _ in range(m)]
+    omega = lp.add_variable(obj=1.0, lower=-np.inf)
     for j in centers:
         members = [i for i in range(m) if sol.assignment[i] == j]
         coeffs = {a_cols[i]: 1.0 for i in members}

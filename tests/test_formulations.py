@@ -105,16 +105,17 @@ class TestModelShape:
             # the last one point by point with one row per run.
             base = 5 + 25 + 1
             assert model.lp.n_rows == base + 5 * len(steps)
+            a, rels, b = model.lp.dense()
             for i in (0, 2, 4):
                 for k, s in enumerate(steps):
-                    coeffs, rel, rhs = model.lp.rows[base + i * len(steps) + k]
-                    assert rel == ">="
-                    assert rhs == 0.0
+                    row = base + i * len(steps) + k
+                    assert rels[row] == ">="
+                    assert b[row] == 0.0
                     for j in range(5):
-                        got = coeffs.get(model.z[i][j], 0.0)
+                        got = a[row, model.z[i][j]]
                         assert got == pytest.approx(-(lam[s] - lam[-1]) * d[i, j])
-                    assert coeffs[model.u[i]] == 1.0
-                    assert coeffs[model.v[k]] == 1.0
+                    assert a[row, model.u[i]] == 1.0
+                    assert a[row, model.v[k]] == 1.0
 
     def test_objective_is_u_plus_v(self):
         # u costs 1, v the length of its run, z_ij costs lam_m * d_ij

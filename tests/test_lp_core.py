@@ -9,7 +9,8 @@ import pytest
 
 from ordmed import (Instance, ParameterError, build_bep, build_ot,
                     closest_allocation, embed_integral, generate_ball,
-                    generate_uniform, lp_core, resolve_weights)
+                    generate_uniform, lp_core, resolve_weights,
+                    search_certificate, solve_enumeration)
 from ordmed.lp_core import (
     INFEASIBLE,
     OPTIMAL,
@@ -76,7 +77,7 @@ class TestStatuses:
 
     def test_free_variable_recombination(self):
         lp = LinearProgram()
-        x = lp.add_free_variable(obj=1.0)
+        x = lp.add_variable(obj=1.0, lower=-math.inf)
         lp.add_row({x: 1.0}, ">=", -5.0)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
@@ -194,21 +195,80 @@ class TestDense:
         lp = LinearProgram()
         for _ in range(6):
             lp.add_variable()
+        rows = []
         for _ in range(9):
             cols = rng.choice(6, size=int(rng.integers(0, 7)), replace=False)
             coeffs = {int(j): float(rng.choice([-0.0, 0.0, -1.5, 2.25]))
                       for j in cols}
-            lp.add_row(coeffs, ("<=", "=", ">=")[int(rng.integers(0, 3))],
-                       float(rng.uniform(-1, 1)))
+            rows.append((coeffs, ("<=", "=", ">=")[int(rng.integers(0, 3))],
+                         float(rng.uniform(-1, 1))))
+            lp.add_row(*rows[-1])
         ref = np.zeros((lp.n_rows, lp.n_vars))
-        for i, (cmap, _, _) in enumerate(lp.rows):
+        for i, (cmap, _, _) in enumerate(rows):
             for j, coef in cmap.items():
                 ref[i, j] += coef
         a, rels, b = lp.dense()
         assert np.array_equal(a, ref)
         assert np.array_equal(np.signbit(a), np.signbit(ref))  # -0.0 lands as 0.0
-        assert rels == [rel for _, rel, _ in lp.rows]
-        assert b.tolist() == [rhs for _, _, rhs in lp.rows]
+        assert rels.tolist() == [rel for _, rel, _ in rows]
+        assert b.tolist() == [rhs for _, _, rhs in rows]
+
+        # the same rows as one block of triples, in shuffled order
+        block = LinearProgram()
+        block.add_variables(np.zeros(6))
+        triples = np.array([(i, j, coef) for i, (cmap, _, _) in enumerate(rows)
+                            for j, coef in cmap.items()]).reshape(-1, 3)
+        triples = triples[rng.permutation(len(triples))]
+        block.add_rows(triples[:, 0], triples[:, 1], triples[:, 2],
+                       [rel for _, rel, _ in rows], [rhs for _, _, rhs in rows])
+        got = block.dense()
+        assert np.array_equal(got[0], ref)
+        assert np.array_equal(np.signbit(got[0]), np.signbit(ref))
+        assert got[1].tolist() == rels.tolist() and np.array_equal(got[2], b)
+
+    def test_repeated_pairs_add_up(self):
+        lp = LinearProgram()
+        lp.add_variables([0.0, 0.0])
+        lp.add_rows([0, 0, 0, 1], [1, 1, 0, 0], [1.5, 2.0, -1.0, 3.0], ">=", [0.0, 1.0])
+        a, _, _ = lp.dense()
+        assert a.tolist() == [[-1.0, 3.5], [3.0, 0.0]]
+
+    def test_assembled_once_and_read_only(self):
+        lp = LinearProgram()
+        x = lp.add_variable(obj=1.0)
+        lp.add_row({x: 2.0}, ">=", 1.0)
+        first = lp.dense()
+        assert all(u is v for u, v in zip(lp.dense(), first))
+        for array in first:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        sol = solve_lp(lp)
+        check_solution(lp, sol)
+        assert all(u is v for u, v in zip(lp.dense(), first))
+        lp.add_row({x: 1.0}, "<=", 4.0)  # an addition assembles anew
+        assert lp.dense()[0].tolist() == [[2.0], [1.0]]
+
+    @pytest.mark.parametrize("args", [
+        ([0], [0], [1.0], "<", [1.0]),
+        ([0], [0], [1.0], ">=", [math.inf]),
+        ([0], [3], [1.0], ">=", [1.0]),
+        ([1], [0], [1.0], ">=", [1.0]),
+        ([-1], [0], [1.0], ">=", [1.0]),
+        ([0], [-1], [1.0], ">=", [1.0]),
+        ([0, 0], [0], [1.0], ">=", [1.0]),
+        ([0], [0], [math.nan], ">=", [1.0]),
+    ])
+    def test_malformed_block_rejected(self, args):
+        lp = LinearProgram()
+        lp.add_variables([0.0, 0.0])
+        with pytest.raises(ParameterError):
+            lp.add_rows(*args)
+
+    @pytest.mark.parametrize("lower, upper", [(1.0, 0.0), (-math.inf, 1.0)])
+    def test_malformed_column_block_rejected(self, lower, upper):
+        with pytest.raises(ParameterError):
+            LinearProgram().add_variables([0.0, 1.0], [0.0, lower], [1.0, upper])
+
 
 def quarter(rng, lo, hi):
     # Dyadic grid values are exact in binary floats and in Fraction(float).
@@ -523,3 +583,58 @@ class TestStart:
         lp.add_variable()
         with pytest.raises(ParameterError, match="start"):
             solve_lp(lp, start=start)
+
+
+class TestKernelInvariants:
+    """The kept inverse stays the inverse of the basis, pivot after pivot."""
+
+    def test_every_swap_keeps_the_inverse(self, monkeypatch):
+        # After each swap, crash swaps included, binvt.T @ B is I within
+        # 1e-9, and a refactor at that moment moves no basic value by more
+        # than RESIDUAL_TOL * (1 + max |x|); the refactor is undone, so the
+        # solve keeps its own path.
+        worst = {"inverse": 0.0, "drift": 0.0}
+        swaps = {"crash": 0, "run": 0}
+
+        class CheckedSimplex(lp_core._BoundedSimplex):
+            def _crash(self):
+                self.crashing = True
+                super()._crash()
+                self.crashing = False
+
+            def _swap(self, j, r, alpha):
+                super()._swap(j, r, alpha)
+                swaps["crash" if getattr(self, "crashing", False) else "run"] += 1
+                basis = np.zeros((self.k, self.k))
+                for pos, col in enumerate(self.basis):
+                    if col < self.n:
+                        basis[:, pos] = self.a_user[:, col]
+                    else:
+                        basis[self.unit_rows[col - self.n], pos] = \
+                            self.unit_sign[col - self.n]
+                error = np.abs(self.binvt.T @ basis - np.eye(self.k)).max()
+                worst["inverse"] = max(worst["inverse"], error)
+                kept = self.binvt.copy(), self.x.copy(), self.stale
+                self.refactor()
+                drift = np.abs(self.x - kept[1]).max() / (1.0 + np.abs(kept[1]).max())
+                worst["drift"] = max(worst["drift"], drift)
+                self.binvt, self.x, self.stale = kept
+
+        monkeypatch.setattr(lp_core, "_BoundedSimplex", CheckedSimplex)
+        for seed in range(3):
+            for gen in ("ball", "uniform"):
+                points, dist = (generate_ball(8, 3, 0.1, 1.0, seed=seed) if gen == "ball"
+                                else generate_uniform(8, seed=seed))
+                for spec in ("center", "median", "ksum:auto", "centdian:0.5"):
+                    inst = Instance(dist, resolve_weights(spec, 8), 3, points)
+                    best = solve_enumeration(inst)
+                    for build in (build_bep, build_ot):
+                        model = build(inst)
+                        assert solve_lp(model.lp).is_optimal()
+                        warm = solve_lp(model.lp, start=embed_integral(inst, best, model))
+                        assert warm.is_optimal()
+                    for strict in (False, True):
+                        search_certificate(inst, best, strict=strict)
+        assert swaps["crash"] > 0 and swaps["run"] > 0
+        assert worst["inverse"] <= 1e-9
+        assert worst["drift"] <= RESIDUAL_TOL

@@ -95,6 +95,24 @@ class TestOmEvaluate:
             if n == 7:
                 assert np.array_equal(om_evaluate(d.reshape(1, n, m), w)[0], stacked)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_center_weights_match_the_sort_path_bit_for_bit(self, scale):
+        # Only lam_1 nonzero skips the sort; its value must be the bits of
+        # the sorted dot product, on blocks with exact ties and with zeros
+        # of either sign, alone and stacked.
+        rng = np.random.default_rng(int(scale * 1e6) % 997)
+        for m in (1, 2, 5, 24):
+            lam = np.zeros(m)
+            lam[0] = rng.uniform(0.1, 3.0) * scale
+            w = weights(*lam)
+            for n in (1, 7, 4096):
+                d = rng.integers(0, 4, size=(n, m)) * rng.uniform(0.5, 2.0) * scale
+                d[rng.uniform(size=d.shape) < 0.2] = -0.0
+                ref = np.einsum("ij,j->i", np.sort(d, axis=1), lam[::-1])
+                got = om_evaluate(d, w)
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+                assert om_evaluate(d[0], w).hex() == ref[0].hex()
+
     @settings(max_examples=150, deadline=None)
     @given(cost_weight_pairs())
     def test_matches_sorted_dot_oracle(self, pair):
