@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark a parent revision against the working tree in alternating pairs.
 
-    python scripts/bench_pairs.py --parent HEAD~1 --name lp_kernel --pairs 10
+    python scripts/bench_pairs.py --parent HEAD~1 --name lp_kernel
 
-The parent is checked out into a temporary `git worktree`, which is removed
-when the script ends. Each pair runs `perfbench/run.py` once in the parent
-and once in the working tree on one seed (seed-base + pair index), and the
-side that runs first alternates between pairs. The runs are untraced and
-last the benchmark's own run length unless --seconds says otherwise.
+The working tree must be clean, untracked files included, so the change
+measured is the commit HEAD names. The parent is checked out into a
+temporary `git worktree`, which is removed when the script ends. Every
+workload of BENCHMARK.json gets PAIRS pairs; each runs `perfbench/run.py`
+once in the parent and once in the working tree on one seed (SEED_BASE +
+pair index), and the side that runs first alternates between pairs. The
+runs are untraced and last the benchmark's own run length.
 
 BENCH_<name>.json, written at the repository root, holds for each workload
 and each end-to-end metric of BENCHMARK.json: the median and quartiles of
@@ -28,6 +30,8 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+SEED_BASE = 1000
 
 
 def git(*args: str) -> str:
@@ -67,33 +71,31 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    names = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--name", required=True, help="output file BENCH_<name>.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", action="append", choices=names,
-                    help="workload to run (repeatable; default every one)")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    ap.add_argument("--seed-base", type=int, default=1000)
     args = ap.parse_args(argv)
+    if git("status", "--porcelain", "--untracked-files=all"):
+        print("the working tree has uncommitted or untracked files; commit or remove them",
+              file=sys.stderr)
+        return 1
     parent_sha = git("rev-parse", args.parent)
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    out = {"parent": parent_sha, "change": git("rev-parse", "HEAD") + ("+dirty" if dirty else ""),
-           "run_seconds": args.seconds, "pairs": args.pairs, "workloads": {}}
+    out = {"parent": parent_sha, "change": git("rev-parse", "HEAD"),
+           "run_seconds": seconds, "pairs": PAIRS, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "parent")
         git("worktree", "add", "--detach", tree, parent_sha)
         try:
-            for workload in args.workload or names:
+            for workload in (w["name"] for w in spec["workloads"]):
                 runs = []
-                for i in range(args.pairs):
-                    seed = args.seed_base + i
+                for i in range(PAIRS):
+                    seed = SEED_BASE + i
                     order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
                     run = {"seed": seed, "first": order[0]}
                     for side in order:
                         run[side] = run_bench(tree if side == "parent" else ROOT,
-                                              workload, seed, args.seconds)
+                                              workload, seed, seconds)
                         print(f"{workload} seed {seed} {side}: "
                               f"{run[side]['metrics']['ops_per_s']['value']:.1f} ops/s",
                               file=sys.stderr, flush=True)

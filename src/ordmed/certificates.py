@@ -166,7 +166,7 @@ def search_certificate(inst: Instance, sol: CenterSolution, *, strict: bool = Fa
     lp = LinearProgram("certificate")
     a_cols = lp.add_variables(np.zeros(inst.m), lower, upper)
     non_centers = np.setdiff1d(np.arange(inst.m), centers)
-    omega = lp.add_variable(obj=1.0, lower=margin if non_centers.size else -np.inf)
+    omega = lp.add_variables([1.0], margin if non_centers.size else -np.inf)[0]
     # center row c: the alphas of its members minus omega, at their wd sum
     lp.add_rows(np.concatenate([np.searchsorted(centers, assign), np.arange(centers.size)]),
                 np.concatenate([a_cols, np.full(centers.size, omega)]),

@@ -51,7 +51,7 @@ PHASE1_TOL = 1e-7  # phase-1 value, over the rhs scale, above which an LP is inf
 class LinearProgram:
     """Builder for a minimization LP: columns and rows are plain indices.
 
-    Columns and rows come one at a time or as blocks; a row block is triples
+    Columns and rows come as blocks; a row block is triples
     (row, column, coefficient), the storage of every row, and a repeated
     pair adds up. dense() assembles the matrix once after the last addition
     and hands every caller that read-only copy. name labels the model
@@ -75,8 +75,7 @@ class LinearProgram:
     def add_variables(self, obj, lower=0.0, upper=math.inf) -> np.ndarray:
         """Add a block of columns; lower and upper broadcast to obj's length."""
         obj = np.array(obj, dtype=float).ravel()
-        lower = np.full(obj.size, lower, dtype=float)
-        upper = np.full(obj.size, upper, dtype=float)
+        lower, upper = (np.full(obj.size, v, dtype=float) for v in (lower, upper))
         if not ((lower <= upper) & ((lower > -math.inf) | np.isinf(upper))).all():
             raise ParameterError("bounds must be nonempty, a free column's upper infinite")
         first = self.n_vars
@@ -85,16 +84,11 @@ class LinearProgram:
         self._dense = None
         return np.arange(first, self.n_vars)
 
-    def add_variable(self, obj: float = 0.0, lower: float = 0.0,
-                     upper: float = math.inf) -> int:
-        return int(self.add_variables([obj], lower, upper)[0])
-
     def add_rows(self, row, col, coef, rel, rhs) -> None:
         """Add len(rhs) rows of triples (row within the block, col, coef); rel: one or per row."""
-        rhs = np.array(rhs, dtype=float).ravel()
-        rels = np.full(rhs.size, rel)
+        rhs, coef = (np.array(v, dtype=float).ravel() for v in (rhs, coef))
         row, col = (np.array(v, dtype=np.intp).ravel() for v in (row, col))
-        coef = np.array(coef, dtype=float).ravel()
+        rels = np.full(rhs.size, rel)
         if not ((rels == "<=") | (rels == "=") | (rels == ">=")).all():
             raise ParameterError(f"relation must be <=, =, or >=, got {rel!r}")
         if not (row.shape == col.shape == coef.shape and np.isfinite(coef).all()
@@ -107,12 +101,6 @@ class LinearProgram:
         self._blocks.append((row + self.n_rows, col, coef, rels, rhs))
         self._dense = None
         self.n_rows += rhs.size
-
-    def add_row(self, coeffs, rel: str, rhs: float) -> int:
-        """Add a row; coeffs is a {var index: coefficient} map or pair iterable."""
-        cmap = dict(coeffs)
-        self.add_rows(np.zeros(len(cmap)), list(cmap), list(cmap.values()), rel, [rhs])
-        return self.n_rows - 1
 
     def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows as read-only (A, relations, b), A dense of shape (n_rows, n_vars)."""
@@ -203,8 +191,7 @@ class _BoundedSimplex:
         self.unit_rows = np.concatenate([ineq, art_rows])
         self.unit_sign = np.concatenate(
             [np.ones(len(ineq)), np.where(resid[art_rows] < 0.0, -1.0, 1.0)])
-        self.n = n
-        self.k = k
+        self.n, self.k = n, k
         self.a_user = a_user
         self.b = b
         total = art_start + len(art_rows)
@@ -246,9 +233,7 @@ class _BoundedSimplex:
                 raise np.linalg.LinAlgError("two unit columns share a row")
             g = np.linalg.inv(cols[rows_s])
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"basis matrix became singular: {exc}", self.iterations
-            )
+            raise ConvergenceError(f"basis matrix became singular: {exc}", self.iterations)
         # the transposes of B^-1's blocks: g on (pos_s, rows_s), -sign_u *
         # (cols[rows_u] @ g) on (pos_u, rows_s), sign_u on (pos_u, rows_u)
         top = np.empty((len(rows_s), k))
@@ -288,8 +273,7 @@ class _BoundedSimplex:
             pivots = np.where(at_bound, np.abs(alpha), 0.0)
             r = int(np.argmax(pivots))
             if pivots[r] >= PIVOT_SAFETY:
-                leaving = self.basis[r]
-                self.x[leaving] = lo[r] if xb[r] - lo[r] <= hi[r] - xb[r] else hi[r]
+                self.x[self.basis[r]] = lo[r] if xb[r] - lo[r] <= hi[r] - xb[r] else hi[r]
                 self._swap(j, r, alpha)
                 self.iterations += 1
                 self.stale += 1
@@ -313,9 +297,7 @@ class _BoundedSimplex:
         score[self.basis] = 0.0
         improving = score > PIVOT_TOL
         j = int(improving.argmax() if self.bland else score.argmax())
-        if not improving[j]:
-            return None
-        return j, (1.0 if d[j] < 0.0 else -1.0)
+        return (j, 1.0 if d[j] < 0.0 else -1.0) if improving[j] else None
 
     def _stop(self, j: int, sign: float) -> float:
         """Where column j, moving in direction sign, meets a bound or its rest."""
@@ -376,8 +358,7 @@ class _BoundedSimplex:
 
         Pivot row r of B^-1 is binvt's column r; binvt row c loses row[c] * alpha.
         """
-        leaving = self.basis[r]
-        self.is_basic[leaving] = False
+        self.is_basic[self.basis[r]] = False
         self.is_basic[j] = True
         self.basis[r] = j
         row = self.binvt[:, r] / alpha[r]
@@ -449,16 +430,10 @@ def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
     x = sim.x[:n].copy()
     # a fixed column's positive reduced cost belongs to its lower bound
     at_upper = ~sim.is_basic[:n] & (x == sim.hi[:n])
-    return LpSolution(
-        status=OPTIMAL,
-        x=x,
-        value=float(np.dot(lp.obj, x)),
-        y=sim.y,
-        upper_duals=np.where(at_upper, np.minimum(sim.d[:n], 0.0), 0.0),
-        basis=frozenset(int(j) for j in sim.basis if j < n),
-        iterations=sim.iterations,
-        phase1_iterations=phase1,
-    )
+    return LpSolution(status=OPTIMAL, x=x, value=float(np.dot(lp.obj, x)), y=sim.y,
+                      upper_duals=np.where(at_upper, np.minimum(sim.d[:n], 0.0), 0.0),
+                      basis=frozenset(int(j) for j in sim.basis if j < n),
+                      iterations=sim.iterations, phase1_iterations=phase1)
 
 
 def _worst(violations: np.ndarray) -> float:
@@ -475,14 +450,11 @@ def check_solution(lp: LinearProgram, sol: LpSolution) -> ResidualReport:
     if not sol.is_optimal():
         raise ParameterError("check_solution needs an Optimal solution")
     a, rels, b = lp.dense()
-    x = np.asarray(sol.x, dtype=float)
-    y = np.asarray(sol.y, dtype=float)
-    mu = np.asarray(sol.upper_duals, dtype=float)
+    x, y, mu = (np.asarray(v, dtype=float) for v in (sol.x, sol.y, sol.upper_duals))
     lower, upper = lp.lower, lp.upper
 
     le, ge = rels == "<=", rels == ">="
-    finite_lo = np.isfinite(lower)
-    finite_up = np.isfinite(upper)
+    finite_lo, finite_up = np.isfinite(lower), np.isfinite(upper)
 
     slack = b - a @ x
     primal = max(

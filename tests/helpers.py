@@ -1,6 +1,7 @@
 """Shared fixture builders for the test suite."""
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -59,3 +60,15 @@ def stop_above_the_optimum(monkeypatch, inst, build, centers):
         return dataclasses.replace(solve(lp, start=start), x=x)
 
     monkeypatch.setattr(ordmed.exact, "solve_lp", above)
+
+
+def add_variable(lp, obj=0.0, lower=0.0, upper=math.inf) -> int:
+    """Add one column to lp; return its index."""
+    return int(lp.add_variables([obj], lower, upper)[0])
+
+
+def add_row(lp, coeffs, rel, rhs) -> int:
+    """Add one row to lp from a {column: coefficient} map; return its index."""
+    cmap = dict(coeffs)
+    lp.add_rows(np.zeros(len(cmap)), list(cmap), list(cmap.values()), rel, [rhs])
+    return lp.n_rows - 1

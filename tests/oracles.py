@@ -19,6 +19,8 @@ import numpy as np
 
 from ordmed import ParameterError, SizeGuardError
 
+from helpers import add_row, add_variable
+
 
 def om_oracle(values, lam) -> float:
     """Ordered median by literal definition: sort descending, dot with lam."""
@@ -162,21 +164,21 @@ def full_bep_lp(inst):
 
     m, lam, d = inst.m, inst.weights.lam, inst.dist.d
     lp = LinearProgram("full_bep")
-    y = [lp.add_variable(0.0, upper=1.0) for _ in range(m)]
-    z = [[lp.add_variable(0.0, upper=1.0) for _ in range(m)] for _ in range(m)]
-    u = [lp.add_variable(1.0, lower=-np.inf) for _ in range(m)]
-    v = [lp.add_variable(1.0, lower=-np.inf) for _ in range(m)]
+    y = [add_variable(lp, 0.0, upper=1.0) for _ in range(m)]
+    z = [[add_variable(lp, 0.0, upper=1.0) for _ in range(m)] for _ in range(m)]
+    u = [add_variable(lp, 1.0, lower=-np.inf) for _ in range(m)]
+    v = [add_variable(lp, 1.0, lower=-np.inf) for _ in range(m)]
     for i in range(m):
-        lp.add_row({z[i][j]: 1.0 for j in range(m)}, "=", 1.0)
+        add_row(lp, {z[i][j]: 1.0 for j in range(m)}, "=", 1.0)
         for j in range(m):
-            lp.add_row({z[i][j]: 1.0, y[j]: -1.0}, "<=", 0.0)
-    lp.add_row({y[j]: 1.0 for j in range(m)}, "=", float(inst.p))
+            add_row(lp, {z[i][j]: 1.0, y[j]: -1.0}, "<=", 0.0)
+    add_row(lp, {y[j]: 1.0 for j in range(m)}, "=", float(inst.p))
     for i in range(m):
         for r in range(m):
             coeffs = {z[i][j]: -lam[r] * d[i, j] for j in range(m)}
             coeffs[u[i]] = 1.0
             coeffs[v[r]] = 1.0
-            lp.add_row(coeffs, ">=", 0.0)
+            add_row(lp, coeffs, ">=", 0.0)
     return lp
 
 
@@ -196,30 +198,30 @@ def full_certificate_lp(inst, sol, margin):
     w = inst.weights.lam[sorting_permutation(sol.distances).rank_of()]
     centers = list(sol.centers)
     lp = LinearProgram("full_certificate")
-    a_cols = [lp.add_variable(lower=-np.inf) for _ in range(m)]
-    omega = lp.add_variable(obj=1.0, lower=-np.inf)
+    a_cols = [add_variable(lp, lower=-np.inf) for _ in range(m)]
+    omega = add_variable(lp, obj=1.0, lower=-np.inf)
     for j in centers:
         members = [i for i in range(m) if sol.assignment[i] == j]
         coeffs = {a_cols[i]: 1.0 for i in members}
         coeffs[omega] = -1.0
         rhs = float(sum(w[i] * d[i, j] for i in members))
-        lp.add_row(coeffs, "=", rhs)
+        add_row(lp, coeffs, "=", rhs)
     for i in range(m):
         j = sol.assignment[i]
-        lp.add_row({a_cols[i]: 1.0}, ">=", float(w[i] * d[i, j]) + margin)
+        add_row(lp, {a_cols[i]: 1.0}, ">=", float(w[i] * d[i, j]) + margin)
         for jp in centers:
             if jp != j:
-                lp.add_row({a_cols[i]: 1.0}, "<=", float(w[i] * d[i, jp]) - margin)
+                add_row(lp, {a_cols[i]: 1.0}, "<=", float(w[i] * d[i, jp]) - margin)
     for i in range(m):
         if i in sol.centers:
             continue
-        s_cols = [lp.add_variable() for _ in range(m)]
+        s_cols = [add_variable(lp) for _ in range(m)]
         for t in range(m):
-            lp.add_row({s_cols[t]: 1.0, a_cols[t]: -1.0}, ">=",
+            add_row(lp, {s_cols[t]: 1.0, a_cols[t]: -1.0}, ">=",
                        -float(w[t] * d[t, i]))
         coeffs = dict.fromkeys(s_cols, 1.0)
         coeffs[omega] = -1.0
-        lp.add_row(coeffs, "<=", -margin)
+        add_row(lp, coeffs, "<=", -margin)
     return lp
 
 

@@ -29,7 +29,8 @@ from ordmed import (
 )
 from ordmed.instance import METRIC_RTOL, WEIGHT_GRAMMAR
 
-from helpers import T1_COORDS, planar_instance, random_points, t1_instance
+from helpers import (T1_COORDS, add_variable, planar_instance, random_points,
+                     t1_instance)
 
 
 def line_matrix(xs):
@@ -394,7 +395,7 @@ class TestInstanceFiles:
 
 def _lp_solution():
     lp = LinearProgram("tiny")
-    lp.add_variable(1.0, upper=1.0)
+    add_variable(lp, 1.0, upper=1.0)
     return solve_lp(lp)
 
 

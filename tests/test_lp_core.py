@@ -23,14 +23,14 @@ from ordmed.lp_core import (
     solve_lp,
 )
 
-from helpers import random_instance, t1_instance
+from helpers import add_row, add_variable, random_instance, t1_instance
 from oracles import lp_vertex_oracle
 
 
 def single_upper_bound_lp():
     lp = LinearProgram("box")
-    x = lp.add_variable(obj=-1.0)
-    lp.add_row({x: 1.0}, "<=", 3.0)
+    x = add_variable(lp, obj=-1.0)
+    add_row(lp, {x: 1.0}, "<=", 3.0)
     return lp
 
 
@@ -44,9 +44,9 @@ class TestStatuses:
 
     def test_equality_vertex(self):
         lp = LinearProgram()
-        x = lp.add_variable(obj=1.0)
-        y = lp.add_variable(obj=1.0)
-        lp.add_row({x: 1.0, y: 1.0}, "=", 1.0)
+        x = add_variable(lp, obj=1.0)
+        y = add_variable(lp, obj=1.0)
+        add_row(lp, {x: 1.0, y: 1.0}, "=", 1.0)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.value == pytest.approx(1.0)
@@ -54,21 +54,21 @@ class TestStatuses:
 
     def test_infeasible(self):
         lp = LinearProgram()
-        x = lp.add_variable()
-        lp.add_row({x: 1.0}, "<=", -1.0)
+        x = add_variable(lp)
+        add_row(lp, {x: 1.0}, "<=", -1.0)
         sol = solve_lp(lp)
         assert sol.status == INFEASIBLE
         assert sol.x is None
 
     def test_unbounded(self):
         lp = LinearProgram()
-        lp.add_variable(obj=-1.0)
+        add_variable(lp, obj=-1.0)
         sol = solve_lp(lp)
         assert sol.status == UNBOUNDED
 
     def test_variable_upper_bound(self):
         lp = LinearProgram()
-        lp.add_variable(obj=-1.0, upper=2.5)
+        add_variable(lp, obj=-1.0, upper=2.5)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.value == pytest.approx(-2.5)
@@ -77,8 +77,8 @@ class TestStatuses:
 
     def test_free_variable_recombination(self):
         lp = LinearProgram()
-        x = lp.add_variable(obj=1.0, lower=-math.inf)
-        lp.add_row({x: 1.0}, ">=", -5.0)
+        x = add_variable(lp, obj=1.0, lower=-math.inf)
+        add_row(lp, {x: 1.0}, ">=", -5.0)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.x[0] == pytest.approx(-5.0)
@@ -86,23 +86,23 @@ class TestStatuses:
 
     def test_equality_dual(self):
         lp = LinearProgram()
-        x = lp.add_variable(obj=-1.0)
-        lp.add_row({x: 1.0}, "=", 2.0)
+        x = add_variable(lp, obj=-1.0)
+        add_row(lp, {x: 1.0}, "=", 2.0)
         sol = solve_lp(lp)
         assert sol.x[0] == pytest.approx(2.0)
         assert sol.y[0] == pytest.approx(-1.0)
 
     def test_bad_relation_rejected(self):
         lp = LinearProgram()
-        lp.add_variable()
+        add_variable(lp)
         with pytest.raises(ParameterError):
-            lp.add_row({0: 1.0}, "<", 1.0)
+            add_row(lp, {0: 1.0}, "<", 1.0)
 
     def test_unknown_variable_rejected(self):
         lp = LinearProgram()
-        lp.add_variable()
+        add_variable(lp)
         with pytest.raises(ParameterError):
-            lp.add_row({3: 1.0}, "<=", 1.0)
+            add_row(lp, {3: 1.0}, "<=", 1.0)
 
 
 class TestResidualReport:
@@ -131,9 +131,9 @@ class TestResidualReport:
     @staticmethod
     def report(lower, rows, x, y, mu):
         lp = LinearProgram()
-        lp.add_variable(obj=1.0, lower=lower)
+        add_variable(lp, obj=1.0, lower=lower)
         for coef, rel, rhs in rows:
-            lp.add_row({0: coef}, rel, rhs)
+            add_row(lp, {0: coef}, rel, rhs)
         sol = LpSolution(OPTIMAL, x=np.array([x]), y=np.array(y),
                          upper_duals=np.array([mu]))
         return check_solution(lp, sol)
@@ -176,10 +176,10 @@ class TestDeterminism:
             rng = np.random.default_rng(5)
             lp = LinearProgram()
             for j in range(4):
-                lp.add_variable(obj=float(rng.uniform(-1, 1)), upper=4.0)
+                add_variable(lp, obj=float(rng.uniform(-1, 1)), upper=4.0)
             for _ in range(5):
                 coeffs = {j: float(rng.uniform(-1, 1)) for j in range(4)}
-                lp.add_row(coeffs, "<=", float(rng.uniform(1, 3)))
+                add_row(lp, coeffs, "<=", float(rng.uniform(1, 3)))
             return solve_lp(lp)
 
         a, b = build(), build()
@@ -194,7 +194,7 @@ class TestDense:
         rng = np.random.default_rng(43)
         lp = LinearProgram()
         for _ in range(6):
-            lp.add_variable()
+            add_variable(lp)
         rows = []
         for _ in range(9):
             cols = rng.choice(6, size=int(rng.integers(0, 7)), replace=False)
@@ -202,7 +202,7 @@ class TestDense:
                       for j in cols}
             rows.append((coeffs, ("<=", "=", ">=")[int(rng.integers(0, 3))],
                          float(rng.uniform(-1, 1))))
-            lp.add_row(*rows[-1])
+            add_row(lp, *rows[-1])
         ref = np.zeros((lp.n_rows, lp.n_vars))
         for i, (cmap, _, _) in enumerate(rows):
             for j, coef in cmap.items():
@@ -235,8 +235,8 @@ class TestDense:
 
     def test_assembled_once_and_read_only(self):
         lp = LinearProgram()
-        x = lp.add_variable(obj=1.0)
-        lp.add_row({x: 2.0}, ">=", 1.0)
+        x = add_variable(lp, obj=1.0)
+        add_row(lp, {x: 2.0}, ">=", 1.0)
         first = lp.dense()
         assert all(u is v for u, v in zip(lp.dense(), first))
         for array in first:
@@ -245,7 +245,7 @@ class TestDense:
         sol = solve_lp(lp)
         check_solution(lp, sol)
         assert all(u is v for u, v in zip(lp.dense(), first))
-        lp.add_row({x: 1.0}, "<=", 4.0)  # an addition assembles anew
+        add_row(lp, {x: 1.0}, "<=", 4.0)  # an addition assembles anew
         assert lp.dense()[0].tolist() == [[2.0], [1.0]]
 
     @pytest.mark.parametrize("args", [
@@ -311,9 +311,9 @@ def random_feasible_lp(rng, mixed_bounds=False):
 def build_lp(c, rows, rels, b, lower, upper):
     lp = LinearProgram()
     for j, cj in enumerate(c):
-        lp.add_variable(obj=cj, lower=lower[j], upper=upper[j])
+        add_variable(lp, obj=cj, lower=lower[j], upper=upper[j])
     for coeffs, rel, rhs in zip(rows, rels, b):
-        lp.add_row({j: a for j, a in enumerate(coeffs) if a != 0.0}, rel, rhs)
+        add_row(lp, {j: a for j, a in enumerate(coeffs) if a != 0.0}, rel, rhs)
     return lp
 
 
@@ -361,10 +361,10 @@ class TestOracleAgreement:
             n = int(rng.integers(1, 4))
             lp = LinearProgram()
             for _ in range(n):
-                lp.add_variable(upper=5.0)
+                add_variable(lp, upper=5.0)
             k = quarter(rng, 1, 3)
-            lp.add_row({0: 1.0}, ">=", k)
-            lp.add_row({0: 1.0}, "<=", k - 0.5)
+            add_row(lp, {0: 1.0}, ">=", k)
+            add_row(lp, {0: 1.0}, "<=", k - 0.5)
             sol = solve_lp(lp)
             assert sol.status == INFEASIBLE
 
@@ -561,8 +561,8 @@ class TestStart:
 
     def test_infeasible_lp_from_a_start(self):
         lp = LinearProgram()
-        x = lp.add_variable()
-        lp.add_row({x: 1.0}, "<=", -1.0)
+        x = add_variable(lp)
+        add_row(lp, {x: 1.0}, "<=", -1.0)
         assert solve_lp(lp, start=[0.5]).status == INFEASIBLE
 
     def test_free_column_off_zero_is_crashed(self):
@@ -579,8 +579,8 @@ class TestStart:
                                        [0.0, math.nan], [math.inf, 0.0]])
     def test_malformed_start_rejected(self, start):
         lp = LinearProgram()
-        lp.add_variable()
-        lp.add_variable()
+        add_variable(lp)
+        add_variable(lp)
         with pytest.raises(ParameterError, match="start"):
             solve_lp(lp, start=start)
 
