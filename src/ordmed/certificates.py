@@ -23,6 +23,7 @@ EQUALITY_TOL = 1e-9
 STRICT_MARGIN_RTOL = 1e-6  # strict slacks must clear this times lam_1 * max d
 COLLINEAR_RTOL = 1e-9  # |u x v| / s**2 below which a triple counts as collinear
 SINGLE_CENTER_RTOL = 1e-12  # weighted-sum gap, over max |sum|, that still ties
+COLLINEAR_BLOCK = 16384  # doubles per temporary of has_collinear_triple
 
 
 def strictness_margin(inst: Instance) -> float:
@@ -224,11 +225,10 @@ def has_collinear_triple(coords) -> bool:
     |u|^2 |v|^2 - (u.v)^2, summed here from the 2x2 minors u_k v_l - u_l v_k
     (Lagrange's identity), which keeps the cancellation out: in the plane it
     is the cross product, and on the real line it is 0. The triples of
-    4 * ENUMERATION_BLOCK // m**2 anchors (at least one) are scored at once,
-    so up to m = 128 no temporary exceeds 4 * ENUMERATION_BLOCK doubles
-    (128 KiB); larger ones measured slower at m = 60.
+    COLLINEAR_BLOCK // m**2 anchors (at least one) are scored at once, so
+    up to m = 128 no temporary exceeds COLLINEAR_BLOCK doubles (128 KiB);
+    larger ones measured slower at m = 60.
     """
-    from .exact import ENUMERATION_BLOCK  # exact imports this module
     c = np.asarray(coords, dtype=float)
     m = len(c)
     if m < 3:
@@ -237,7 +237,7 @@ def has_collinear_triple(coords) -> bool:
     s = float(np.max(np.abs(c - c.mean(axis=0))))
     tol = COLLINEAR_RTOL * s * s
     idx = np.arange(m)
-    step = max(1, 4 * ENUMERATION_BLOCK // m**2)
+    step = max(1, COLLINEAR_BLOCK // m**2)
     for lo in range(0, m - 2, step):
         anchors, later = idx[lo:min(lo + step, m - 2)], idx[lo + 1:]
         e = c[later] - c[anchors, None]  # e[a, b] = c_b - c_a
@@ -256,9 +256,11 @@ def predict_non_recovery(inst: Instance) -> Prediction:
 
     Items are tried in fixed numeric order, except that a weight family
     named by its own item is routed there (a centdian below the threshold
-    reports the centdian item, not the generic strict-inequality one). Geometric
-    hypotheses are audited in checks: pairwise-distinct distances, and
-    collinearity, which is decided only when coordinates are available.
+    reports the centdian item, not the generic strict-inequality one, and
+    one at the threshold, gamma * (m - 1) == 1, the balanced-head item).
+    Geometric hypotheses are audited in checks: pairwise-distinct
+    distances, and collinearity, which is decided only when coordinates are
+    available.
     """
     m, p = inst.m, inst.p
     lam = inst.weights.lam
@@ -285,6 +287,8 @@ def predict_non_recovery(inst: Instance) -> Prediction:
         return Prediction(MEDIAN_SINGLE_RECOVERS, 3,
                           "a single median center is always recovered, ties "
                           "or not", checks)
+    head = float(lam[0])
+    tail = float(lam[1:].sum())
     if wc.family == "centdian":
         gamma = wc.param
         threshold = gamma * (m - 1)
@@ -297,9 +301,12 @@ def predict_non_recovery(inst: Instance) -> Prediction:
             return Prediction(UNKNOWN, None,
                               "centdian threshold met but distances carry "
                               "ties", checks)
-        return Prediction(UNKNOWN, None,
-                          f"centdian tail {threshold:g} >= 1 is outside the "
-                          "non-recovery regime", checks)
+        if threshold > 1.0:
+            return Prediction(UNKNOWN, None,
+                              f"centdian tail {threshold:g} > 1 is outside the "
+                              "non-recovery regime", checks)
+        # the formula says tail == head, whatever the float sum of the tail
+        tail = head
     if wc.family == "ksum" and wc.param == 2:
         if not foe:
             return Prediction(UNKNOWN, None,
@@ -316,8 +323,6 @@ def predict_non_recovery(inst: Instance) -> Prediction:
         return Prediction(NEVER_RECOVERS, 4,
                           "2-sum weights with points in general position "
                           "never recover", checks)
-    head = float(lam[0])
-    tail = float(lam[1:].sum())
     if tail < head:
         if foe:
             return Prediction(NEVER_RECOVERS, 1,

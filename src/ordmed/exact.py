@@ -126,7 +126,7 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     lifted by embed_integral: the start is feasible, so phase 1 is skipped
     and phase 2 walks down from v_ip. A model built from this very instance
     object may be passed to avoid rebuilding (any other raises
-    ParameterError). Both tolerances follow the unit max(1, lam_1 * max d):
+    ParameterError). Both tolerances follow inst.unit, max(1, lam_1 * max d):
     v_lp is obj . x at a vertex whose check_solution residual is at most
     RESIDUAL_TOL * unit, and it recovers v_ip within RECOVERY_RTOL * |v_ip|,
     or RECOVERY_RTOL * unit when v_ip is 0. A vertex over the residual
@@ -149,13 +149,12 @@ def recovery_status(inst: Instance, *, model: DompModel | None = None) -> Recove
     if model is None:
         model = build_bep(inst)
     t0 = time.perf_counter()
-    sol = solve_lp(model.lp, start=embed_integral(inst, best, model))
+    sol = solve_lp(model.lp, start=embed_integral(model, best))
     time_lp = time.perf_counter() - t0
     if not sol.is_optimal():
         raise ConvergenceError(f"relaxation solve ended {sol.status}",
                                sol.iterations)
-    # lam_1 * max d bounds every sorted term: the scale of values and duals
-    unit = max(1.0, inst.max_term)
+    unit = inst.unit
     # a verdict never rests on a vertex that fails its own optimality check;
     # written so that a NaN residual fails too
     residual = check_solution(model.lp, sol).max_residual()

@@ -141,57 +141,44 @@ def build_ot(inst: Instance) -> DompModel:
                      q=_frozen_array(q, np.intp))
 
 
-def embed_integral(inst: Instance, sol: CenterSolution,
-                   model: DompModel) -> np.ndarray:
-    """Lift a center solution to a feasible LP vector of equal objective.
+def embed_integral(model: DompModel, sol: CenterSolution) -> np.ndarray:
+    """Lift a center solution of model.inst to a feasible LP vector of equal objective.
 
     y and z are the indicators of sol; sort its allocation distances
-    canonically as a_1 >= ... >= a_m. In BEP, with mu = lam - lam_m, the
-    per-position duals are v_m = 0, v_r = v_{r+1} + a_{r+1} * (mu_r -
-    mu_{r+1}), and u at the point sorted r-th is a_r * mu_r - v_r >= 0; v
-    is constant on each run and 0 on the tail, so v_s takes its run's
-    value. Every row u_i + v_r >= mu_r * d_i holds (with equality at r =
-    sort position of i, by a telescoping comparison against the monotone
-    a). In OT, t_s is a_{s+1}, the (s+1)-th largest distance, and q_is =
-    max(0, d_i - t_s), so step s prices the top-(s+1) sum exactly. Either
-    objective collapses to the ordered median value. The sorting rows and
-    the value are checked to RESIDUAL_TOL * max(1, lam_1 * max d),
-    recovery_status's unit; only a solution of another instance can fail
-    them.
+    canonically as a_1 >= ... >= a_m. Each sorting block's shared column
+    takes its value from the proof. In BEP, with mu = lam - lam_m, the
+    per-position duals are v_m = 0 and v_r = v_{r+1} + a_{r+1} * (mu_r -
+    mu_{r+1}); v is constant on each run, so v_s takes its run's value. In
+    OT, t_s is a_{s+1}, the (s+1)-th largest distance. Every own column (u_i
+    in BEP, q_is in OT) then takes the least value its sorting rows and its
+    bound 0 allow, max(0, max_s(scale_s * d_i - shared_s)), so every row
+    holds by construction. BEP's u_i comes out as a_r * mu_r - v_r at the
+    sort position r of i (a telescoping comparison against the monotone a),
+    and OT's q_is as max(0, d_i - t_s), so step s prices the top-(s+1) sum
+    exactly; either objective collapses to the ordered median value. That
+    value is checked to RESIDUAL_TOL * inst.unit, recovery_status's bound;
+    only a solution of another instance can fail it.
     """
-    model.require(inst)
-    m = inst.m
-    lam = inst.weights.lam
-    d = sol.distances
+    inst = model.inst
+    lam, d, steps = inst.weights.lam, sol.distances, _steps(inst)
     x = np.zeros(model.lp.n_vars)
     x[model.y[list(sol.centers)]] = 1.0
-    x[model.z[np.arange(m), list(sol.assignment)]] = 1.0
-    order = list(sorting_permutation(d).order)
-    a = d[order]
+    x[model.z[np.arange(inst.m), list(sol.assignment)]] = 1.0
+    a = d[list(sorting_permutation(d).order)]
     if model.lp.name == "bep":
         mu = lam - lam[-1]
-        v_sorted = np.zeros(m)
-        for r in range(m - 2, -1, -1):
-            v_sorted[r] = v_sorted[r + 1] + a[r + 1] * (mu[r] - mu[r + 1])
-        u = np.empty(m)
-        u[order] = a * mu - v_sorted
-        if model.u.size:
-            x[model.u] = u
-            x[model.v] = v_sorted[_steps(inst)]
-        # the tail column r = m (mu = v = 0) reads u >= 0
-        rows = u[:, None] + v_sorted - np.outer(d, mu)
+        # v_r for r < m - 1, summed from v_m = 0 in the recurrence's order
+        v = np.cumsum((a[1:] * (mu[:-1] - mu[1:]))[::-1])[::-1]
+        shared, own, scale = model.v, np.repeat(model.u, steps.size), mu[steps]
+        x[shared] = v[steps]
     else:
-        t = a[_steps(inst)]
-        q = np.maximum(0.0, d[:, None] - t)
-        x[model.t] = t
-        x[model.q] = q
-        rows = q + t - d[:, None]
-    tol = RESIDUAL_TOL * max(1.0, inst.max_term)
-    worst = float(rows.min(initial=0.0))
+        shared, own, scale = model.t, model.q.ravel(), np.ones(steps.size)
+        x[shared] = a[steps]
+    # own starts at its bound 0; the rows of point i and step s raise it
+    np.maximum.at(x, own, (scale * d[:, None] - x[shared]).ravel())
     drift = abs(float(np.dot(model.lp.obj, x)) - sol.value)
-    if worst < -tol or drift > tol:
-        raise ParameterError(f"sol is no solution of this instance: sorting row "
-                             f"violation {max(0.0, -worst):.3e}, value drift "
+    if drift > RESIDUAL_TOL * inst.unit:
+        raise ParameterError(f"sol is no solution of this instance: value drift "
                              f"{drift:.3e}")
     return x
 

@@ -154,6 +154,11 @@ class Instance:
         """lam_1 * max d, which bounds every sorted term lam_r * d_ij."""
         return float(self.weights.lam[0]) * float(self.dist.d.max())
 
+    @property
+    def unit(self) -> float:
+        """max(1, max_term): the unit of the relaxation's values, residuals and duals."""
+        return max(1.0, self.max_term)
+
 
 @dataclass(frozen=True, eq=False)
 class CenterSolution:

@@ -20,9 +20,10 @@ The dense basis inverse is kept transposed (binvt row i is B^-1 column
 i): FTRAN sums the rows where the entering column is nonzero, a pivot's
 rank-1 update rewrites the rows where the new pivot row is nonzero, and
 BTRAN gathers the columns of nonzero basic costs. It and x_B are rebuilt
-from LinearProgram.dense() every REFACTOR_EVERY steps and before a phase
-is declared optimal. Pricing takes the largest improving reduced cost;
-Bland's rule after a budget of degenerate pivots guarantees termination.
+from the solve's own LinearProgram.dense() copy every REFACTOR_EVERY
+steps and before a phase is declared optimal. Pricing takes the largest
+improving reduced cost; Bland's rule after a budget of degenerate pivots
+guarantees termination.
 """
 
 from __future__ import annotations
@@ -52,17 +53,16 @@ class LinearProgram:
     """Builder for a minimization LP: columns and rows are plain indices.
 
     Columns and rows come as blocks; a row block is triples
-    (row, column, coefficient), the storage of every row, and a repeated
-    pair adds up. dense() assembles the matrix once after the last addition
-    and hands every caller that read-only copy. name labels the model
-    ("bep", "ot", "certificate"); columns and rows carry no names.
+    (row, column, coefficient), the only storage of every row, and a
+    repeated pair adds up. dense() assembles fresh arrays on every call, so
+    each caller owns its copy and nothing outlives it. name labels the
+    model ("bep", "ot", "certificate"); columns and rows carry no names.
     """
 
     def __init__(self, name: str = "lp"):
         self.name = name
         self.obj, self.lower, self.upper = np.empty(0), np.empty(0), np.empty(0)
         self.n_rows = 0
-        self._dense = None
         # (row, column, coefficient, relation, rhs) arrays; the first block is
         # empty and gives every field its dtype
         self._blocks = [(np.empty(0, np.intp),) * 2 + (np.empty(0), np.empty(0, "<U2"),
@@ -81,7 +81,6 @@ class LinearProgram:
         first = self.n_vars
         self.obj, self.lower, self.upper = (np.concatenate(pair) for pair in (
             (self.obj, obj), (self.lower, lower), (self.upper, upper)))
-        self._dense = None
         return np.arange(first, self.n_vars)
 
     def add_rows(self, row, col, coef, rel, rhs) -> None:
@@ -99,20 +98,15 @@ class LinearProgram:
                          or col.view(np.uintp).max() >= self.n_vars):
             raise ParameterError("row triples must name block rows and known variables")
         self._blocks.append((row + self.n_rows, col, coef, rels, rhs))
-        self._dense = None
         self.n_rows += rhs.size
 
     def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows as read-only (A, relations, b), A dense of shape (n_rows, n_vars)."""
-        if self._dense is None:
-            row, col, coef, rels, b = (np.concatenate(f) for f in zip(*self._blocks))
-            # bincount adds from +0.0, so a -0.0 coefficient lands as +0.0
-            a = np.bincount(row * self.n_vars + col, weights=coef,
-                            minlength=self.n_rows * self.n_vars)
-            for v in (a, rels, b):
-                v.flags.writeable = False
-            self._dense = a.reshape(self.n_rows, self.n_vars), rels, b
-        return self._dense
+        """Rows as new arrays (A, relations, b), A dense of shape (n_rows, n_vars)."""
+        row, col, coef, rels, b = (np.concatenate(f) for f in zip(*self._blocks))
+        # bincount adds from +0.0, so a -0.0 coefficient lands as +0.0
+        a = np.bincount(row * self.n_vars + col, weights=coef,
+                        minlength=self.n_rows * self.n_vars)
+        return a.reshape(self.n_rows, self.n_vars), rels, b
 
 
 @dataclass(frozen=True, eq=False)

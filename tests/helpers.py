@@ -53,7 +53,7 @@ def stop_above_the_optimum(monkeypatch, inst, build, centers):
     """
     model = build(inst)
     worse = closest_allocation(inst.dist, centers, inst.weights)
-    x = embed_integral(inst, worse, model)
+    x = embed_integral(model, worse)
     solve = ordmed.exact.solve_lp
 
     def above(lp, start=None):

@@ -120,7 +120,31 @@ class TestParsePmed:
         assert validate_metric(d).ok
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: unexpected end of file: missing vertex count"),
+        ("3 x 1\n", "line 1: edge count must be an integer, got 'x'"),
+        ("0 0 1\n", "line 1: vertex count must be positive, got 0"),
+        ("3 -1 1\n", "line 1: edge count must be nonnegative, got -1"),
+        ("3 1 1\n1\n4 5\n", "line 3: vertex 4 out of range [1, 3]"),
+    ], ids=["empty", "token", "vertices", "edges", "endpoint"])
+    def test_malformed_file_refused(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            parse_pmed(path)
+        assert str(info.value) == message
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("generate", [
+        lambda: generate_ball(6, 2, 0.5, 4.0, dim=0),
+        lambda: generate_uniform(6, dim=0),
+    ], ids=["ball", "uniform"])
+    def test_zero_dimensions_refused(self, generate):
+        with pytest.raises(ParameterError) as info:
+            generate()
+        assert str(info.value) == "dim must be positive, got 0"
+
     def test_ball_separation(self):
         pts, dist = generate_ball(12, 3, 0.2, 10.0, seed=1)
         assert pts.m == 12 and dist.m == 12

@@ -36,7 +36,7 @@ from ordmed import (
 )
 from ordmed.bench_io import (data_path, floyd_warshall, generate_ball,
                              generate_uniform, parse_pmed, prefix_subsample)
-from ordmed.lp_core import INFEASIBLE
+from ordmed.lp_core import INFEASIBLE, UNBOUNDED, LpSolution
 
 from helpers import (T1_COORDS, matrix_instance, planar_instance, random_instance,
                      t1_instance)
@@ -121,6 +121,14 @@ class TestSearchCertificate:
         assert verdict.holds
         recheck = verify_certificate(inst, sol, cert)
         assert recheck.holds
+
+    def test_non_optimal_search_raises(self, monkeypatch, median_solution):
+        inst, sol = median_solution
+        monkeypatch.setattr(ordmed.certificates, "solve_lp",
+                            lambda lp: LpSolution(UNBOUNDED, iterations=2))
+        with pytest.raises(ParameterError) as info:
+            search_certificate(inst, sol)
+        assert str(info.value) == "certificate search ended Unbounded"
 
     def test_center_single_center_infeasible(self):
         inst = t1_instance("center", p=1)
@@ -494,6 +502,18 @@ class TestPredictNonRecovery:
         inst = planar_instance([[0.0], [1.0], [2.0], [3.0]],
                                resolve_weights("centdian:0.25", 4), 1)
         assert predict_non_recovery(inst).kind == UNKNOWN
+
+    @pytest.mark.parametrize("m", [5, 6, 9, 11])
+    def test_centdian_at_threshold_is_the_balanced_head(self, m):
+        # gamma * (m - 1) == 1 makes the tail mass equal the head, item 2's
+        # case, whatever the float sum of the tail; no such cell recovers
+        points, dist = generate_uniform(m, seed=0)
+        for p in (1, 2):
+            inst = Instance(dist, resolve_weights(f"centdian:{1 / (m - 1)!r}", m), p, points)
+            pred = predict_non_recovery(inst)
+            assert (pred.kind, pred.item) == (NEVER_RECOVERS, 2), pred.reason
+            assert pred.checks["collinearity"] == "none"
+            assert not recovery_status(inst).recovered
 
     def test_two_sum_general_position(self):
         inst = planar_instance(GENERAL_POSITION, resolve_weights("ksum:2", 4), 1)

@@ -246,6 +246,12 @@ class TestCertify:
 
 
 class TestClusterability:
+    def test_no_instance_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "clusterability")
+        assert code == 1
+        assert out == ""
+        assert err == "error: clusterability needs at least one --instance\n"
+
     def test_csv_and_labels(self, capsys, t1_path, ball_path):
         code, out, _ = run(capsys, "clusterability",
                            "--instance", ball_path, "--instance", t1_path,

@@ -40,6 +40,11 @@ class TestDipStatistic:
         with pytest.raises(SizeGuardError):
             dip_statistic([1.0])
 
+    def test_non_finite_refused(self):
+        with pytest.raises(ParameterError) as info:
+            dip_statistic([0.0, 1.0, np.nan])
+        assert str(info.value) == "sample values must be finite"
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=60)

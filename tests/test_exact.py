@@ -35,6 +35,8 @@ from ordmed import (
     solve_lp,
 )
 
+from ordmed.lp_core import UNBOUNDED, LpSolution
+
 from helpers import (matrix_instance, planar_instance, random_instance,
                      random_points, random_weights, stop_above_the_optimum,
                      t1_instance)
@@ -385,6 +387,14 @@ class TestRecoveryStatus:
             with pytest.raises(ParameterError, match="different instance"):
                 recovery_status(inst, model=build(other))
 
+    def test_non_optimal_relaxation_is_no_verdict(self, monkeypatch):
+        monkeypatch.setattr(ordmed.exact, "solve_lp",
+                            lambda lp, start=None: LpSolution(UNBOUNDED, iterations=7))
+        with pytest.raises(ConvergenceError) as info:
+            recovery_status(t1_instance("median", p=1))
+        assert str(info.value) == "relaxation solve ended Unbounded (after 7 iterations)"
+        assert info.value.iterations == 7
+
     def test_model_of_an_equal_copy_is_refused(self):
         # a model knows the object it was built from, not its field values
         inst = t1_instance("median", p=1)
@@ -435,7 +445,7 @@ class TestRecoveryStatus:
                     rep = recovery_status(inst, model=model)
                     [(start, sol)] = seen
                     assert np.array_equal(
-                        start, embed_integral(inst, rep.best_solution, model))
+                        start, embed_integral(model, rep.best_solution))
                     assert sol.phase1_iterations == 0
 
     @pytest.mark.parametrize("build", [build_bep, build_ot])

@@ -157,21 +157,21 @@ class TestEmbedding:
         inst = t1_instance("median", p=1)
         model = build_bep(inst)
         sol = closest_allocation(inst.dist, (2,), inst.weights)
-        x = embed_integral(inst, sol, model)
+        x = embed_integral(model, sol)
         assert np.dot(model.lp.obj, x) == pytest.approx(18.0, abs=1e-9)
 
     def test_center_embedding_value(self):
         inst = t1_instance("center", p=1)
         model = build_bep(inst)
         sol = closest_allocation(inst.dist, (3,), inst.weights)
-        x = embed_integral(inst, sol, model)
+        x = embed_integral(model, sol)
         assert np.dot(model.lp.obj, x) == pytest.approx(7.0, abs=1e-9)
 
     def test_full_opening_embeds_to_zero(self):
         inst = t1_instance("median", p=5)
         model = build_bep(inst)
         sol = closest_allocation(inst.dist, tuple(range(5)), inst.weights)
-        x = embed_integral(inst, sol, model)
+        x = embed_integral(model, sol)
         assert np.dot(model.lp.obj, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_embedding_is_feasible(self):
@@ -180,7 +180,7 @@ class TestEmbedding:
             inst = random_instance(rng, 6, int(rng.integers(1, 4)))
             model = build_bep(inst)
             sol = solve_enumeration(inst)
-            x = embed_integral(inst, sol, model)
+            x = embed_integral(model, sol)
             a, rels, b = model.lp.dense()
             act = a @ x
             for i, rel in enumerate(rels):
@@ -197,7 +197,7 @@ class TestEmbedding:
         inst = t1_instance("median", p=1)
         model = build_bep(inst)
         sol = closest_allocation(inst.dist, (2,), inst.weights)
-        rep = fractionality_report(model, embed_integral(inst, sol, model))
+        rep = fractionality_report(model, embed_integral(model, sol))
         assert rep.integral
         assert rep.max_y_fractionality <= 1e-12
         assert rep.fractional_y == ()
@@ -210,7 +210,7 @@ class TestEmbedding:
             inst = t1_instance(spec, p=p)
             model = build_ot(inst)
             sol = closest_allocation(inst.dist, centers, inst.weights)
-            x = embed_integral(inst, sol, model)
+            x = embed_integral(model, sol)
             assert fractionality_report(model, x).integral
             assert np.dot(model.lp.obj, x) == pytest.approx(sol.value, rel=1e-12)
             assert np.all(x[model.q] >= 0.0)
@@ -220,15 +220,7 @@ class TestEmbedding:
         inst = t1_instance("median", p=1)
         sol = solve_enumeration(t1_instance("center", p=1))
         with pytest.raises(ParameterError, match="value drift 1.500e[+]01"):
-            embed_integral(inst, sol, build_bep(inst))
-
-    @pytest.mark.parametrize("m, p", [(4, 1), (5, 2), (5, 1)])
-    def test_model_of_another_instance_rejected(self, m, p):
-        inst = t1_instance("median", p=1)
-        sol = closest_allocation(inst.dist, (2,), inst.weights)
-        other = random_instance(np.random.default_rng(0), m, p)
-        with pytest.raises(ParameterError, match="different instance"):
-            embed_integral(inst, sol, build_bep(other))
+            embed_integral(build_bep(inst), sol)
 
 
 class TestFractionalityReport:
@@ -334,7 +326,7 @@ class TestFullModelOracle:
         for inst in oracle_corpus():
             sol = solve_enumeration(inst)
             for model in (build_bep(inst), build_ot(inst)):
-                x = embed_integral(inst, sol, model)
+                x = embed_integral(model, sol)
                 a, rels, b = model.lp.dense()
                 slack = a @ x - b
                 rels = np.array(rels)

@@ -9,7 +9,7 @@ optimize = pytest.importorskip("scipy.optimize")
 
 import ordmed.certificates
 from ordmed import (Instance, build_bep, build_ot, data_path, floyd_warshall,
-                    generate_ball, generate_uniform, parse_pmed,
+                    generate_ball, generate_uniform, lp_core, parse_pmed,
                     prefix_subsample, resolve_weights, search_certificate,
                     solve_enumeration)
 from ordmed.lp_core import (INFEASIBLE, OPTIMAL, RESIDUAL_TOL, UNBOUNDED,
@@ -87,3 +87,35 @@ def test_certificate_searches_match_highs(monkeypatch, strict):
                     inst = Instance(dist, resolve_weights(family, m), p, points)
                     search_certificate(inst, solve_enumeration(inst), strict=strict)
     assert OPTIMAL in statuses and INFEASIBLE in statuses
+
+
+@pytest.mark.parametrize("gen", ["ball", "uniform"])
+def test_small_pivot_refactor_keeps_the_answer(monkeypatch, gen):
+    # PIVOT_SAFETY = 2 calls most pivots on a stale inverse small: each one
+    # refactors and re-selects first, and the answer stays the default's
+    points, dist = generated(gen, 8)
+    refactors = [0]
+    refactor = lp_core._BoundedSimplex.refactor
+
+    def counted(self):
+        refactors[0] += 1
+        refactor(self)
+
+    monkeypatch.setattr(lp_core._BoundedSimplex, "refactor", counted)
+    for family in FAMILIES:
+        inst = Instance(dist, resolve_weights(family, 8), 3, points)
+        for build in (build_bep, build_ot):
+            lp = build(inst).lp
+            refactors[0] = 0
+            default = solve_lp(lp)
+            plain = refactors[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_core, "PIVOT_SAFETY", 2.0)
+                refactors[0] = 0
+                safe = solve_lp(lp)
+            assert refactors[0] > plain
+            ref = highs(lp)
+            assert safe.status == default.status == HIGHS_STATUS[ref.status] == OPTIMAL
+            assert np.abs(safe.x - default.x).max() <= 1e-9
+            assert abs(safe.value - default.value) <= 1e-9
+            assert abs(safe.value - ref.fun) <= 1e-9

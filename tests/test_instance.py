@@ -27,7 +27,7 @@ from ordmed import (
     validate_metric,
     write_instance,
 )
-from ordmed.instance import METRIC_RTOL, WEIGHT_GRAMMAR
+from ordmed.instance import METRIC_RTOL, WEIGHT_GRAMMAR, parse_weight_spec
 
 from helpers import (T1_COORDS, add_variable, planar_instance, random_points,
                      t1_instance)
@@ -302,6 +302,30 @@ class TestInstanceValidation:
         inst = Instance(DistanceMatrix(d), resolve_weights("median", 5), 1,
                         points=huge)
         assert inst.points is huge
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DistanceMatrix(np.zeros((2, 3))),
+         "distance matrix must be square, got shape (2, 3)"),
+        (lambda: DistanceMatrix([[0.0, np.inf], [1.0, 0.0]]),
+         "distance matrix entries must be finite"),
+        (lambda: PointSet(np.zeros(3)), "coords must be a 2-d array, got shape (3,)"),
+        (lambda: PointSet([[0.0], [np.nan]]), "coordinates must be finite"),
+        (lambda: WeightVector(np.ones((2, 2))), "weights must be a nonempty 1-d vector"),
+        (lambda: WeightVector([1.0, np.nan]), "weights must be finite"),
+        (lambda: Instance(line_matrix([0.0, 1.0]), resolve_weights("median", 2), 1,
+                          points=PointSet(np.zeros((3, 1)))),
+         "coordinate count != distance matrix size"),
+        (lambda: parse_weight_spec("median:3"), "median takes no parameter, got 'median:3'"),
+        (lambda: parse_weight_spec("file:"), "file spec needs a path, e.g. file:weights.txt"),
+        (lambda: resolve_weights("median", 0), "m must be positive, got 0"),
+        (lambda: write_instance(io.StringIO()), "write_instance needs a matrix or points"),
+    ], ids=["matrix-shape", "matrix-finite", "coords-shape", "coords-finite",
+            "weights-shape", "weights-finite", "coordinate-count", "median-param",
+            "file-path", "m-zero", "write-nothing"])
+    def test_malformed_input_refused(self, make, message):
+        with pytest.raises(ParameterError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_solution_group(self):
         sol = CenterSolution((0,), (0, 0, 0), np.array([0.0, 1.0, 2.0]), 3.0)

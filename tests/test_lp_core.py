@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ordmed import (Instance, ParameterError, build_bep, build_ot,
+from ordmed import (ConvergenceError, Instance, ParameterError, build_bep, build_ot,
                     closest_allocation, embed_integral, generate_ball,
                     generate_uniform, lp_core, resolve_weights,
                     search_certificate, solve_enumeration)
@@ -104,6 +104,14 @@ class TestStatuses:
         with pytest.raises(ParameterError):
             add_row(lp, {3: 1.0}, "<=", 1.0)
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        lp = build_bep(t1_instance("center", p=2)).lp
+        assert solve_lp(lp).iterations > 3
+        monkeypatch.setattr(lp_core, "ITERATION_CAP", 3)
+        with pytest.raises(ConvergenceError, match="iteration cap") as info:
+            solve_lp(lp)
+        assert info.value.iterations == 3
+
 
 class TestResidualReport:
     def test_clean_solution(self):
@@ -162,6 +170,13 @@ class TestResidualReport:
         rep = self.report(-INF, [(1.0, ">=", 2.0), (1.0, "<=", 5.0)], 2.0,
                           [1.25, -0.25], 0.0)
         assert rep == ResidualReport(0.0, 0.0, 0.75, 0.75)
+
+    @pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
+    def test_non_optimal_solution_refused(self, status):
+        lp = single_upper_bound_lp()
+        with pytest.raises(ParameterError) as info:
+            check_solution(lp, LpSolution(status=status))
+        assert str(info.value) == "check_solution needs an Optimal solution"
 
     @pytest.mark.parametrize("block", range(4))
     def test_nan_block_makes_max_residual_nan(self, block):
@@ -233,20 +248,25 @@ class TestDense:
         a, _, _ = lp.dense()
         assert a.tolist() == [[-1.0, 3.5], [3.0, 0.0]]
 
-    def test_assembled_once_and_read_only(self):
+    def test_each_call_assembles_fresh_arrays(self):
+        # the rows live only as triples: a caller owns what dense() returns,
+        # and writing into it changes neither the model nor a later solve
         lp = LinearProgram()
         x = add_variable(lp, obj=1.0)
         add_row(lp, {x: 2.0}, ">=", 1.0)
         first = lp.dense()
-        assert all(u is v for u, v in zip(lp.dense(), first))
+        again = lp.dense()
+        assert not any(np.shares_memory(u, v) for u, v in zip(first, again))
         for array in first:
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+            array[0] = 0.0 if array.dtype.kind == "f" else "<="
+        assert [v.tolist() for v in lp.dense()] == [[[2.0]], [">="], [1.0]]
         sol = solve_lp(lp)
-        check_solution(lp, sol)
-        assert all(u is v for u, v in zip(lp.dense(), first))
-        add_row(lp, {x: 1.0}, "<=", 4.0)  # an addition assembles anew
-        assert lp.dense()[0].tolist() == [[2.0], [1.0]]
+        assert sol.x.tolist() == [0.5]
+        assert check_solution(lp, sol).max_residual() == 0.0
+        add_row(lp, {x: 1.0}, "<=", 4.0)  # an addition after a solve is seen
+        a, rels, b = lp.dense()
+        assert (a.tolist(), rels.tolist(), b.tolist()) == \
+            ([[2.0], [1.0]], [">=", "<="], [1.0, 4.0])
 
     @pytest.mark.parametrize("args", [
         ([0], [0], [1.0], "<", [1.0]),
@@ -517,13 +537,13 @@ class TestStart:
         # solution of the cold solve's value.
         solves = 0
         for inst in start_corpus():
-            unit = max(1.0, inst.max_term)
+            unit = inst.unit
             for build in (build_bep, build_ot):
                 model = build(inst)
                 cold = solve_lp(model.lp)
                 for centers in combinations(range(inst.m), inst.p):
                     sol = closest_allocation(inst.dist, centers, inst.weights)
-                    warm = solve_lp(model.lp, start=embed_integral(inst, sol, model))
+                    warm = solve_lp(model.lp, start=embed_integral(model, sol))
                     assert warm.status == cold.status == OPTIMAL
                     assert abs(warm.value - cold.value) <= RESIDUAL_TOL * unit
                     assert check_solution(model.lp, warm).max_residual() \
@@ -631,7 +651,7 @@ class TestKernelInvariants:
                     for build in (build_bep, build_ot):
                         model = build(inst)
                         assert solve_lp(model.lp).is_optimal()
-                        warm = solve_lp(model.lp, start=embed_integral(inst, best, model))
+                        warm = solve_lp(model.lp, start=embed_integral(model, best))
                         assert warm.is_optimal()
                     for strict in (False, True):
                         search_certificate(inst, best, strict=strict)
