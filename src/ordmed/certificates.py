@@ -257,7 +257,7 @@ def predict_non_recovery(inst: Instance) -> Prediction:
     Items are tried in fixed numeric order, except that a weight family
     named by its own item is routed there (a centdian below the threshold
     reports the centdian item, not the generic strict-inequality one, and
-    one at the threshold, gamma * (m - 1) == 1, the balanced-head item).
+    one at the threshold, gamma == 1 / (m - 1), the balanced-head item).
     Geometric hypotheses are audited in checks: pairwise-distinct
     distances, and collinearity, which is decided only when coordinates are
     available.
@@ -292,7 +292,10 @@ def predict_non_recovery(inst: Instance) -> Prediction:
     if wc.family == "centdian":
         gamma = wc.param
         threshold = gamma * (m - 1)
-        if threshold < 1.0:
+        if gamma == 1.0 / (m - 1) or threshold == 1.0:
+            # the formula says tail == head, whatever the float product or sum
+            tail = head
+        elif threshold < 1.0:
             if foe:
                 return Prediction(
                     NEVER_RECOVERS, 6,
@@ -301,12 +304,10 @@ def predict_non_recovery(inst: Instance) -> Prediction:
             return Prediction(UNKNOWN, None,
                               "centdian threshold met but distances carry "
                               "ties", checks)
-        if threshold > 1.0:
+        else:
             return Prediction(UNKNOWN, None,
                               f"centdian tail {threshold:g} > 1 is outside the "
                               "non-recovery regime", checks)
-        # the formula says tail == head, whatever the float sum of the tail
-        tail = head
     if wc.family == "ksum" and wc.param == 2:
         if not foe:
             return Prediction(UNKNOWN, None,

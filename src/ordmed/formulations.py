@@ -82,19 +82,32 @@ def _location_allocation(name: str, inst: Instance):
     return lp, _frozen_array(y, np.intp), _frozen_array(z, np.intp)
 
 
-def _sorting_rows(lp: LinearProgram, z: np.ndarray, own: np.ndarray,
-                  shared: np.ndarray, scale: np.ndarray, d: np.ndarray) -> None:
-    """One add_rows of rows i * S + s: own[i * S + s] + shared[s] - scale[s] * d[i] . z[i] >= 0.
+def _sorting_block(model: DompModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The own, shared and scale arrays of model's sorting rows.
 
-    S is len(shared); S = 0 adds no row.
+    Row i * S + s reads own[i * S + s] + shared[s] - scale[s] * d[i] . z[i]
+    >= 0, with S = len(shared) steps. BEP: own u_i, shared v_s, scale
+    mu_s = lam_s - lam_m. OT: own q_is, shared t_s, scale 1.
     """
+    steps = _steps(model.inst)
+    if model.lp.name == "bep":
+        lam = model.inst.weights.lam
+        return np.repeat(model.u, steps.size), model.v, lam[steps] - lam[-1]
+    return model.q.ravel(), model.t, np.ones(steps.size)
+
+
+def _sorting_rows(model: DompModel) -> DompModel:
+    """Add the rows of _sorting_block in one add_rows (none for S = 0); return model."""
+    own, shared, scale = _sorting_block(model)
+    d, z = model.inst.dist.d, model.z
     m, n_steps = len(d), shared.size
     rows = np.arange(m * n_steps)
-    lp.add_rows(np.concatenate([rows.repeat(m), rows, rows]),
-                np.concatenate([z.repeat(n_steps, axis=0).ravel(), own.ravel(),
-                                shared[rows % n_steps]]),
-                np.concatenate([(-scale[:, None] * d[:, None, :]).ravel(),
-                                np.ones(2 * rows.size)]), ">=", np.zeros(rows.size))
+    model.lp.add_rows(np.concatenate([rows.repeat(m), rows, rows]),
+                      np.concatenate([z.repeat(n_steps, axis=0).ravel(), own,
+                                      shared[rows % n_steps]]),
+                      np.concatenate([(-scale[:, None] * d[:, None, :]).ravel(),
+                                      np.ones(2 * rows.size)]), ">=", np.zeros(rows.size))
+    return model
 
 
 def location_duals(model: DompModel, row_duals: np.ndarray) -> tuple[np.ndarray, float]:
@@ -113,14 +126,12 @@ def build_bep(inst: Instance) -> DompModel:
     shifting (u, v) by min u makes u >= 0, so the zero tail needs v_r = 0
     and no rows. Without a step, u and v are empty: the p-median LP.
     """
-    lam = inst.weights.lam
     steps = _steps(inst)
     lp, y, z = _location_allocation("bep", inst)
     u = lp.add_variables(np.ones(inst.m if steps.size else 0))
     v = lp.add_variables(steps - np.concatenate([[-1], steps[:-1]]), lower=-np.inf)
-    _sorting_rows(lp, z, np.repeat(u, v.size), v, lam[steps] - lam[-1], inst.dist.d)
-    return DompModel(lp=lp, inst=inst, y=y, z=z, u=_frozen_array(u, np.intp),
-                     v=_frozen_array(v, np.intp))
+    return _sorting_rows(DompModel(lp=lp, inst=inst, y=y, z=z, u=_frozen_array(u, np.intp),
+                                   v=_frozen_array(v, np.intp)))
 
 
 def build_ot(inst: Instance) -> DompModel:
@@ -136,9 +147,8 @@ def build_ot(inst: Instance) -> DompModel:
     lp, y, z = _location_allocation("ot", inst)
     t = lp.add_variables(deltas * (steps + 1), lower=-np.inf)
     q = lp.add_variables(np.tile(deltas, inst.m)).reshape(inst.m, steps.size)
-    _sorting_rows(lp, z, q, t, np.ones(steps.size), inst.dist.d)
-    return DompModel(lp=lp, inst=inst, y=y, z=z, t=_frozen_array(t, np.intp),
-                     q=_frozen_array(q, np.intp))
+    return _sorting_rows(DompModel(lp=lp, inst=inst, y=y, z=z, t=_frozen_array(t, np.intp),
+                                   q=_frozen_array(q, np.intp)))
 
 
 def embed_integral(model: DompModel, sol: CenterSolution) -> np.ndarray:
@@ -165,14 +175,12 @@ def embed_integral(model: DompModel, sol: CenterSolution) -> np.ndarray:
     x[model.y[list(sol.centers)]] = 1.0
     x[model.z[np.arange(inst.m), list(sol.assignment)]] = 1.0
     a = d[list(sorting_permutation(d).order)]
+    own, shared, scale = _sorting_block(model)
     if model.lp.name == "bep":
         mu = lam - lam[-1]
         # v_r for r < m - 1, summed from v_m = 0 in the recurrence's order
-        v = np.cumsum((a[1:] * (mu[:-1] - mu[1:]))[::-1])[::-1]
-        shared, own, scale = model.v, np.repeat(model.u, steps.size), mu[steps]
-        x[shared] = v[steps]
+        x[shared] = np.cumsum((a[1:] * (mu[:-1] - mu[1:]))[::-1])[::-1][steps]
     else:
-        shared, own, scale = model.t, model.q.ravel(), np.ones(steps.size)
         x[shared] = a[steps]
     # own starts at its bound 0; the rows of point i and step s raise it
     np.maximum.at(x, own, (scale * d[:, None] - x[shared]).ravel())

@@ -415,11 +415,12 @@ class TestCollinearity:
                [1.0, 0.0, 0.0]]
         assert has_collinear_triple(np.array(pts) + 0.37)
 
-    # 1 scans one anchor at a time; 75 gives three anchors per chunk at
-    # m = 10 and one at m = 24; the default scores m <= 32 in one chunk
-    @pytest.mark.parametrize("block", [1, 75, ordmed.exact.ENUMERATION_BLOCK])
+    # COLLINEAR_BLOCK = 4 * block: 1 scans one anchor at a time; 75 gives
+    # three anchors per chunk at m = 10 and one at m = 24; the default
+    # scores m <= 26 in one chunk
+    @pytest.mark.parametrize("block", [1, 75, ordmed.certificates.COLLINEAR_BLOCK // 4])
     def test_matches_per_anchor_scan(self, monkeypatch, block):
-        monkeypatch.setattr(ordmed.exact, "ENUMERATION_BLOCK", block)
+        monkeypatch.setattr(ordmed.certificates, "COLLINEAR_BLOCK", 4 * block)
         corpus = collinearity_corpus()
         verdicts = [has_collinear_triple(pts) for pts in corpus]
         rtol = ordmed.certificates.COLLINEAR_RTOL
@@ -514,6 +515,16 @@ class TestPredictNonRecovery:
             assert (pred.kind, pred.item) == (NEVER_RECOVERS, 2), pred.reason
             assert pred.checks["collinearity"] == "none"
             assert not recovery_status(inst).recovered
+
+    @pytest.mark.parametrize("m", [50, 99])
+    def test_centdian_threshold_ignores_the_float_product(self, m):
+        # 1 / (m - 1) * (m - 1) rounds below 1 at these m; the cell is still
+        # at the threshold, so item 2 applies and not item 6
+        points, dist = generate_uniform(m, seed=0)
+        inst = Instance(dist, resolve_weights(f"centdian:{1 / (m - 1)!r}", m), 1, points)
+        pred = predict_non_recovery(inst)
+        assert (pred.kind, pred.item) == (NEVER_RECOVERS, 2), pred.reason
+        assert pred.checks["collinearity"] == "none"
 
     def test_two_sum_general_position(self):
         inst = planar_instance(GENERAL_POSITION, resolve_weights("ksum:2", 4), 1)
