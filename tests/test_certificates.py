@@ -504,27 +504,18 @@ class TestPredictNonRecovery:
                                resolve_weights("centdian:0.25", 4), 1)
         assert predict_non_recovery(inst).kind == UNKNOWN
 
-    @pytest.mark.parametrize("m", [5, 6, 9, 11])
+    @pytest.mark.parametrize("m", [5, 6, 9, 11, 50])
     def test_centdian_at_threshold_is_the_balanced_head(self, m):
         # gamma * (m - 1) == 1 makes the tail mass equal the head, item 2's
-        # case, whatever the float sum of the tail; no such cell recovers
+        # case, whatever the float sum of the tail or, at m = 50, the float
+        # product 1/49 * 49 < 1; no such cell recovers (solved up to m = 11)
         points, dist = generate_uniform(m, seed=0)
         for p in (1, 2):
             inst = Instance(dist, resolve_weights(f"centdian:{1 / (m - 1)!r}", m), p, points)
             pred = predict_non_recovery(inst)
             assert (pred.kind, pred.item) == (NEVER_RECOVERS, 2), pred.reason
             assert pred.checks["collinearity"] == "none"
-            assert not recovery_status(inst).recovered
-
-    @pytest.mark.parametrize("m", [50, 99])
-    def test_centdian_threshold_ignores_the_float_product(self, m):
-        # 1 / (m - 1) * (m - 1) rounds below 1 at these m; the cell is still
-        # at the threshold, so item 2 applies and not item 6
-        points, dist = generate_uniform(m, seed=0)
-        inst = Instance(dist, resolve_weights(f"centdian:{1 / (m - 1)!r}", m), 1, points)
-        pred = predict_non_recovery(inst)
-        assert (pred.kind, pred.item) == (NEVER_RECOVERS, 2), pred.reason
-        assert pred.checks["collinearity"] == "none"
+            assert m > 11 or not recovery_status(inst).recovered
 
     def test_two_sum_general_position(self):
         inst = planar_instance(GENERAL_POSITION, resolve_weights("ksum:2", 4), 1)
