@@ -112,6 +112,7 @@ def verify_certificate(inst: Instance, sol: CenterSolution,
     against strictness_margin(inst), so a verdict depends on the unit of
     neither the distances nor the weights.
     """
+    sol.check_points(inst.m)
     margin = strictness_margin(inst)
     m = inst.m
     wd = _weighted_distances(inst.weights, cert.sigma, inst.dist)
@@ -153,7 +154,16 @@ def search_certificate(inst: Instance, sol: CenterSolution, *, strict: bool = Fa
     bound omega >= margin stands in for a cap with no surplus column.
     Minimizing omega makes the certificate deterministic; strict=True sets
     the margin to strictness_margin(inst), else it is 0.
+
+    The solve starts where every bound, surplus row and cap row holds:
+    each alpha at the bottom of its box, each surplus column at its least
+    value max(0, alpha_t - wd[t, i]), and omega at the largest cap row's
+    surplus sum plus the margin, so phase 1 has only the center rows left.
+    omega, found, holds and strict do not depend on the start; alpha is one
+    point of the face that minimizes omega, so another start may return
+    another alpha there.
     """
+    sol.check_points(inst.m)
     margin = strictness_margin(inst) if strict else 0.0
     sigma = sorting_permutation(sol.distances)
     wd = _weighted_distances(inst.weights, sigma, inst.dist)
@@ -188,7 +198,12 @@ def search_certificate(inst: Instance, sol: CenterSolution, *, strict: bool = Fa
                 np.concatenate([s_cols, a_cols[t], s_cols, np.full(capped.size, omega)]),
                 np.concatenate([np.ones(k.size), -np.ones(k.size), np.ones(k.size),
                                 -np.ones(capped.size)]), rels, rhs)
-    lp_sol = solve_lp(lp)
+    # the rows read s_p >= alpha_t + rhs and omega >= surplus sum + margin
+    start = np.zeros(lp.n_vars)
+    start[a_cols] = lower
+    start[s_cols] = np.maximum(lower[t] + rhs[s_rows], 0.0)
+    start[omega] = np.bincount(block, start[s_cols]).max(initial=0.0) + margin
+    lp_sol = solve_lp(lp, start=start)
     if lp_sol.status == INFEASIBLE:
         return None, None
     if not lp_sol.is_optimal():

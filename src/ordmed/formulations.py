@@ -167,9 +167,11 @@ def embed_integral(model: DompModel, sol: CenterSolution) -> np.ndarray:
     and OT's q_is as max(0, d_i - t_s), so step s prices the top-(s+1) sum
     exactly; either objective collapses to the ordered median value. That
     value is checked to RESIDUAL_TOL * inst.unit, recovery_status's bound;
-    only a solution of another instance can fail it.
+    only a solution of another instance of m points can fail it, and one of
+    another point count is refused before the lift.
     """
     inst = model.inst
+    sol.check_points(inst.m)
     lam, d, steps = inst.weights.lam, sol.distances, _steps(inst)
     x = np.zeros(model.lp.n_vars)
     x[model.y[list(sol.centers)]] = 1.0

@@ -176,6 +176,12 @@ class CenterSolution:
         """Points assigned to center j, in ascending index order."""
         return tuple(i for i, a in enumerate(self.assignment) if a == j)
 
+    def check_points(self, m: int) -> None:
+        """Raise ParameterError unless the solution assigns exactly m points."""
+        if len(self.assignment) != m:
+            raise ParameterError(f"a solution of {len(self.assignment)} points "
+                                 f"for an instance of {m}")
+
 
 @dataclass(frozen=True)
 class ValidationReport:

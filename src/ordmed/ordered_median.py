@@ -92,6 +92,7 @@ def restrict_instance(inst: Instance, sol: CenterSolution, j: int) -> Instance:
     inherit non-increasing order because positions are taken ascending.
     Sub-points keep ascending original index order.
     """
+    sol.check_points(inst.m)
     if j not in sol.centers:
         raise ParameterError(f"{j} is not a center of the given solution")
     idx = np.array(sol.group(j))

@@ -7,7 +7,8 @@ import numpy as np
 
 import ordmed.exact
 from ordmed import (DistanceMatrix, Instance, PointSet, WeightVector,
-                    closest_allocation, embed_integral, resolve_weights)
+                    closest_allocation, embed_integral, generate_uniform,
+                    resolve_weights, solve_enumeration)
 
 # Five points on a line; every pairwise distance is distinct.
 T1_COORDS = (0.0, 1.0, 3.0, 7.0, 12.0)
@@ -41,6 +42,15 @@ def random_instance(rng, m, p, weights=None, dim=2) -> Instance:
 
 def matrix_instance(d, weights, p) -> Instance:
     return Instance(DistanceMatrix(np.asarray(d, dtype=float)), weights, p)
+
+
+def other_size_pairs():
+    """(instance, solution) pairs of unequal point counts: t1's median
+    optimum, 5 points, on uniform instances of 8 and of 4 points."""
+    sol = solve_enumeration(t1_instance("median", p=1))
+    for m in (8, 4):
+        pts, dist = generate_uniform(m, seed=0)
+        yield Instance(dist, resolve_weights("median", m), 1, points=pts), sol
 
 
 def stop_above_the_optimum(monkeypatch, inst, build, centers):

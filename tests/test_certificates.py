@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordmed.certificates
 import ordmed.exact
@@ -36,10 +38,10 @@ from ordmed import (
 )
 from ordmed.bench_io import (data_path, floyd_warshall, generate_ball,
                              generate_uniform, parse_pmed, prefix_subsample)
-from ordmed.lp_core import INFEASIBLE, UNBOUNDED, LpSolution
+from ordmed.lp_core import INFEASIBLE, RESIDUAL_TOL, UNBOUNDED, LpSolution
 
-from helpers import (T1_COORDS, matrix_instance, planar_instance, random_instance,
-                     t1_instance)
+from helpers import (T1_COORDS, matrix_instance, other_size_pairs, planar_instance,
+                     random_instance, t1_instance)
 from oracles import collinear_triple_oracle, full_certificate_lp
 
 
@@ -112,6 +114,14 @@ class TestVerifyCertificate:
         with pytest.raises(ParameterError):
             make_certificate(inst, sigma, np.ones(3), 1.0)
 
+    def test_solution_of_another_size_rejected(self):
+        for inst, sol in other_size_pairs():
+            sigma = sorting_permutation(inst.dist.d[0])
+            cert = make_certificate(inst, sigma, np.zeros(inst.m), 0.0)
+            with pytest.raises(ParameterError,
+                               match=f"^a solution of 5 points for an instance of {inst.m}$"):
+                verify_certificate(inst, sol, cert)
+
 
 class TestSearchCertificate:
     def test_median_single_center_feasible(self, median_solution):
@@ -125,10 +135,16 @@ class TestSearchCertificate:
     def test_non_optimal_search_raises(self, monkeypatch, median_solution):
         inst, sol = median_solution
         monkeypatch.setattr(ordmed.certificates, "solve_lp",
-                            lambda lp: LpSolution(UNBOUNDED, iterations=2))
+                            lambda lp, start=None: LpSolution(UNBOUNDED, iterations=2))
         with pytest.raises(ParameterError) as info:
             search_certificate(inst, sol)
         assert str(info.value) == "certificate search ended Unbounded"
+
+    def test_solution_of_another_size_rejected(self):
+        for inst, sol in other_size_pairs():
+            with pytest.raises(ParameterError,
+                               match=f"^a solution of 5 points for an instance of {inst.m}$"):
+                search_certificate(inst, sol)
 
     def test_center_single_center_infeasible(self):
         inst = t1_instance("center", p=1)
@@ -259,6 +275,18 @@ def differential_corpus():
                                np.array([0.0, 1.0, 9.0, 5.0, 0.0]), 15.0)
 
 
+def capture_programs(monkeypatch):
+    """Record each (program, start) search_certificate solves; the solves still run."""
+    programs = []
+
+    def capture(lp, start=None):
+        programs.append((lp, start))
+        return solve_lp(lp, start=start)
+
+    monkeypatch.setattr(ordmed.certificates, "solve_lp", capture)
+    return programs
+
+
 class TestCertificateProgram:
     def test_pruned_program_matches_the_full_program(self):
         for inst, sol in differential_corpus():
@@ -275,9 +303,9 @@ class TestCertificateProgram:
     def test_no_row_holds_a_single_variable(self, monkeypatch):
         programs = []
 
-        def capture(lp):
+        def capture(lp, start=None):
             programs.append(lp)
-            return solve_lp(lp)
+            return solve_lp(lp, start=start)
 
         monkeypatch.setattr(ordmed.certificates, "solve_lp", capture)
         pts, dist = generate_ball(24, 4, 0.5, 6.0, seed=0)
@@ -290,6 +318,42 @@ class TestCertificateProgram:
         # the unpruned program has 600 rows here, the surplus ones 480
         assert center.n_rows < 60
         assert median.n_rows < 600
+
+    def test_start_saves_phase_one_pivots(self, monkeypatch):
+        programs = capture_programs(monkeypatch)
+        pts, dist = generate_ball(24, 4, 0.5, 6.0, seed=0)
+        inst = Instance(dist, resolve_weights("median", 24), 4, points=pts)
+        search_certificate(inst, solve_enumeration(inst))
+        [(lp, start)] = programs
+        cold, warm = solve_lp(lp), solve_lp(lp, start=start)
+        assert warm.status == cold.status == "Optimal"
+        assert warm.phase1_iterations < cold.phase1_iterations
+
+    @settings(max_examples=40, deadline=None)
+    @given(gen=st.sampled_from(["ball", "uniform"]), m=st.integers(4, 10),
+           p=st.integers(1, 3), seed=st.integers(0, 99),
+           spec=st.sampled_from(["center", "median", "ksum:2", "centdian:0.5"]),
+           optimal=st.booleans(), strict=st.booleans())
+    def test_start_meets_every_surplus_cap_and_bound(self, gen, m, p, seed, spec,
+                                                     optimal, strict):
+        # only the center-equality rows are left for phase 1
+        if gen == "ball":
+            pts, dist = generate_ball(m, 2, 0.5, 4.0, seed=seed)
+        else:
+            pts, dist = generate_uniform(m, seed=seed)
+        inst = Instance(dist, resolve_weights(spec, m), p, points=pts)
+        sol = (solve_enumeration(inst) if optimal
+               else closest_allocation(dist, range(m - p, m), inst.weights))
+        with pytest.MonkeyPatch.context() as patch:
+            programs = capture_programs(patch)
+            search_certificate(inst, sol, strict=strict)
+        tol = RESIDUAL_TOL * inst.unit
+        for lp, start in programs:
+            a, rels, b = lp.dense()
+            excess = a @ start - b
+            assert np.all(excess[rels == ">="] >= -tol)
+            assert np.all(excess[rels == "<="] <= tol)
+            assert np.all((lp.lower - tol <= start) & (start <= lp.upper + tol))
 
 
 class TestUnitInvariance:

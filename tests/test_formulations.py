@@ -27,7 +27,8 @@ from ordmed import (
     solve_lp,
 )
 
-from helpers import planar_instance, random_instance, random_points, t1_instance
+from helpers import (other_size_pairs, planar_instance, random_instance, random_points,
+                     t1_instance)
 from oracles import full_bep_lp
 
 
@@ -221,6 +222,12 @@ class TestEmbedding:
         sol = solve_enumeration(t1_instance("center", p=1))
         with pytest.raises(ParameterError, match="value drift 1.500e[+]01"):
             embed_integral(build_bep(inst), sol)
+
+    def test_solution_of_another_size_rejected(self):
+        for inst, sol in other_size_pairs():
+            with pytest.raises(ParameterError,
+                               match=f"^a solution of 5 points for an instance of {inst.m}$"):
+                embed_integral(build_bep(inst), sol)
 
 
 class TestFractionalityReport:

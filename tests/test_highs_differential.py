@@ -35,8 +35,8 @@ def highs(lp):
         bounds=bounds, method="highs")
 
 
-def assert_agrees(lp):
-    ours = solve_lp(lp)
+def assert_agrees(lp, start=None):
+    ours = solve_lp(lp, start=start)
     ref = highs(lp)
     assert ours.status == HIGHS_STATUS[ref.status], lp.name
     if ours.is_optimal():
@@ -73,8 +73,8 @@ def test_tied_pmed_prefix_matches_highs():
 def test_certificate_searches_match_highs(monkeypatch, strict):
     statuses = []
 
-    def checked(lp):
-        sol = assert_agrees(lp)
+    def checked(lp, start=None):
+        sol = assert_agrees(lp, start=start)
         statuses.append(sol.status)
         return sol
 

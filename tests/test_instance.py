@@ -29,8 +29,8 @@ from ordmed import (
 )
 from ordmed.instance import METRIC_RTOL, WEIGHT_GRAMMAR, parse_weight_spec
 
-from helpers import (T1_COORDS, add_variable, planar_instance, random_points,
-                     t1_instance)
+from helpers import (T1_COORDS, add_variable, other_size_pairs, planar_instance,
+                     random_points, t1_instance)
 
 
 def line_matrix(xs):
@@ -249,6 +249,12 @@ class TestRestrictInstance:
         sol = solve_enumeration(inst)
         with pytest.raises(ParameterError):
             restrict_instance(inst, sol, 0)
+
+    def test_solution_of_another_size_rejected(self):
+        for inst, sol in other_size_pairs():
+            with pytest.raises(ParameterError,
+                               match=f"^a solution of 5 points for an instance of {inst.m}$"):
+                restrict_instance(inst, sol, sol.centers[0])
 
     def test_restriction_weights_stay_sorted(self):
         rng = np.random.default_rng(23)
