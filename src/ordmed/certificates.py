@@ -159,9 +159,9 @@ def search_certificate(inst: Instance, sol: CenterSolution, *, strict: bool = Fa
     each alpha at the bottom of its box, each surplus column at its least
     value max(0, alpha_t - wd[t, i]), and omega at the largest cap row's
     surplus sum plus the margin, so phase 1 has only the center rows left.
-    omega, found, holds and strict do not depend on the start; alpha is one
-    point of the face that minimizes omega, so another start may return
-    another alpha there.
+    found, holds and strict do not depend on the start, and omega only by
+    round-off; alpha is one point of the face that minimizes omega, so
+    another start may return another alpha there.
     """
     sol.check_points(inst.m)
     margin = strictness_margin(inst) if strict else 0.0

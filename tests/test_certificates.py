@@ -326,7 +326,7 @@ class TestCertificateProgram:
         search_certificate(inst, solve_enumeration(inst))
         [(lp, start)] = programs
         cold, warm = solve_lp(lp), solve_lp(lp, start=start)
-        assert warm.status == cold.status == "Optimal"
+        assert cold.is_optimal() and warm.is_optimal()
         assert warm.phase1_iterations < cold.phase1_iterations
 
     @settings(max_examples=40, deadline=None)
