@@ -11,6 +11,7 @@ stdout or the -o file; everything human-oriented goes to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -70,7 +71,9 @@ def _bootstrap_count(text: str) -> int:
                    f"an integer of at least {MIN_BOOTSTRAP}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ordmed parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ordmed",
         description="Ordered median location: exact solving, LP relaxations, "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -11,7 +12,8 @@ from .errors import ParameterError, SizeGuardError
 from .instance import DistanceMatrix
 
 MDS_THRESHOLD = 60
-DIP_BOUND_TOL = 1e-12  # round-off a dip may show outside [1/(2n), 1/4]
+DIP_BOUND_TOL = 1e-12  # round-off a computed dip, or its uniform-CDF bound, may carry
+DIP_BLOCK = 65536  # doubles per block of replicates dip_pvalue sorts and bounds at once
 MDS_CLAMP_RTOL = 1e-9  # a leading eigenvalue below -this * norm(B) warns
 MIN_BOOTSTRAP = 100  # fewest resamples dip_pvalue accepts
 HIGH = "High"
@@ -32,14 +34,10 @@ class DipResult:
 def dip_statistic(sample) -> DipResult:
     """Sup-distance between the sample ECDF and the nearest unimodal CDF.
 
-    Corner-walk over the greatest convex minorant and least concave majorant
-    of the sorted sample, shrinking to the modal interval until the gap
-    stops growing. Values are in [1/(2n), 1/4]; samples of size up to 3 and
-    constant samples sit exactly on the lower bound.
-
-    The walk is scalar code, so it runs on Python lists: indexing a numpy
-    array boxes a new scalar on every read. Lists hold the same doubles and
-    ints, so every dip and modal interval is bit-identical.
+    Values are in [1/(2n), 1/4]; samples of size up to 3 and constant
+    samples sit exactly on the lower bound. The sample is checked, sorted
+    and handed to the corner walk `_sorted_dip`, the one dip implementation
+    that `dip_pvalue` also runs on its replicates.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
@@ -47,11 +45,27 @@ def dip_statistic(sample) -> DipResult:
         raise SizeGuardError("the dip statistic needs at least 2 values")
     if not np.isfinite(x).all():
         raise ParameterError("sample values must be finite")
-    if n <= 3 or x[0] == x[-1]:
-        return DipResult(dip=0.5 / n, n=n, modal_low=float(x[0]),
-                         modal_high=float(x[-1]))
-
     x = x.tolist()
+    dip, low, high = _sorted_dip(x)
+    return DipResult(dip=dip, n=n, modal_low=x[low], modal_high=x[high])
+
+
+def _sorted_dip(x: list) -> tuple[float, int, int]:
+    """(dip, low, high) of a sorted list of n >= 2 finite values.
+
+    x[low] and x[high] bound the modal interval. Sizes up to 3 and constant
+    samples return the 1/(2n) floor at once. Otherwise the walk runs over
+    the greatest convex minorant and least concave majorant of x, shrinking
+    to the modal interval until the gap stops growing.
+
+    The walk is scalar code, so it runs on Python lists: indexing a numpy
+    array boxes a new scalar on every read. Lists hold the same doubles and
+    ints, so every dip and modal interval is bit-identical.
+    """
+    n = len(x)
+    if n <= 3 or x[0] == x[-1]:
+        return 0.5 / n, 0, n - 1
+
     low, high = 0, n - 1
     dip_value = 1.0  # in 2n * dip units; enforces the 1/(2n) floor
 
@@ -168,7 +182,7 @@ def dip_statistic(sample) -> DipResult:
     dip = dip_value / (2 * n)
     if not 0.5 / n - DIP_BOUND_TOL <= dip <= 0.25 + DIP_BOUND_TOL:
         raise AssertionError(f"dip {dip} escaped [1/(2n), 1/4]")
-    return DipResult(dip=dip, n=n, modal_low=x[low], modal_high=x[high])
+    return dip, low, high
 
 
 def dip_pvalue(sample, bootstrap: int = 1000, seed: int = 0) -> float:
@@ -177,8 +191,22 @@ def dip_pvalue(sample, bootstrap: int = 1000, seed: int = 0) -> float:
     Each replicate draws from its own (seed, replicate) substream, so the
     result is deterministic and independent of evaluation order. Uses the
     add-one correction: p = (1 + #{replicate dip >= observed}) / (bootstrap + 1).
-    The seed must be non-negative.
+    bootstrap and seed must be integers (numpy's included), the seed
+    non-negative.
+
+    Most replicates are settled without a dip. The uniform CDF on a
+    replicate's own range [u_(1), u_(n)] is unimodal, so the replicate's dip
+    is at most that CDF's sup-distance to the ECDF, `_uniform_distance`.
+    The dip's 1/(2n) floor does not break this: the distance is at least 1/n,
+    the ECDF's jump at u_(1). A replicate whose distance is below
+    observed - DIP_BOUND_TOL therefore has a smaller dip, whatever round-off
+    either value carries, and counts as a miss. The rest go through the
+    corner walk, so the p-value is the one a dip per replicate gives, to the
+    bit. Replicates are drawn, sorted and bounded in blocks of at most
+    DIP_BLOCK doubles.
     """
+    bootstrap = _integer(bootstrap, "bootstrap")
+    seed = _integer(seed, "seed")
     if bootstrap < MIN_BOOTSTRAP:
         raise ParameterError(f"bootstrap count must be at least {MIN_BOOTSTRAP}")
     if seed < 0:
@@ -186,12 +214,37 @@ def dip_pvalue(sample, bootstrap: int = 1000, seed: int = 0) -> float:
     x = np.asarray(sample, dtype=float)
     observed = dip_statistic(x).dip
     n = len(x)
+    rows = max(1, DIP_BLOCK // n)
     hits = 0
-    for rep in range(bootstrap):
-        u = np.random.default_rng([seed, rep]).random(n)
-        if dip_statistic(u).dip >= observed:
-            hits += 1
+    for first in range(0, bootstrap, rows):
+        block = np.empty((min(rows, bootstrap - first), n))
+        for rep, row in enumerate(block, start=first):
+            np.random.default_rng([seed, rep]).random(out=row)
+        block.sort(axis=1)
+        for row in block[_uniform_distance(block) >= observed - DIP_BOUND_TOL]:
+            hits += _sorted_dip(row.tolist())[0] >= observed
     return (1 + hits) / (bootstrap + 1)
+
+
+def _uniform_distance(x: np.ndarray) -> np.ndarray:
+    """Per row of a row-sorted array, the sup-distance from its ECDF to the
+    uniform CDF on [row min, row max]: max_i max(i/n - t_i, t_i - (i-1)/n)
+    with t the row mapped onto [0, 1]. A constant row maps to t = 0 and
+    gets distance 1, which bounds every dip.
+    """
+    n = x.shape[1]
+    span = x[:, -1:] - x[:, :1]
+    t = (x - x[:, :1]) / np.where(span > 0.0, span, 1.0)
+    steps = np.arange(n + 1) / n
+    return np.maximum(steps[1:] - t, t - steps[:-1]).max(axis=1)
+
+
+def _integer(value, name: str) -> int:
+    """value as a Python int, else a ParameterError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def mds_1d(dist: DistanceMatrix) -> np.ndarray:

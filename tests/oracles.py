@@ -5,8 +5,9 @@ different libraries than the code under test: sorting-based evaluation,
 telescoped partial sums and a max over all permutations for the ordered
 median, the two-vector probe of its convexity boundary, exhaustive
 assignment search for the exact optimum, a per-anchor collinearity scan,
-rational basis enumeration for LP minima, and per-mode linear programs
-(scipy) for the dip statistic.
+rational basis enumeration for LP minima, per-mode linear programs
+(scipy) for the dip statistic, and one dip per replicate for the dip
+p-value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from ordmed import ParameterError, SizeGuardError
+from ordmed import ParameterError, SizeGuardError, dip_statistic
 
 from helpers import add_row, add_variable
 
@@ -478,3 +479,20 @@ def dip_lp_oracle(sample) -> float:
             best = min(best, run(n_cols, a_ub, b_ub, d_col))
 
     return float(max(best, 0.5 / n))
+
+
+def dip_pvalue_reference(sample, bootstrap: int, seed: int) -> float:
+    """Bootstrap dip p-value with one full dip_statistic call per replicate.
+
+    The loop `dip_pvalue` ran before it settled replicates by a bound; the
+    two must agree to the bit. It shares the dip itself with the package,
+    so it checks the batching and the bound, not the corner walk.
+    """
+    observed = dip_statistic(sample).dip
+    n = len(sample)
+    hits = 0
+    for rep in range(bootstrap):
+        u = np.random.default_rng([seed, rep]).random(n)
+        if dip_statistic(u).dip >= observed:
+            hits += 1
+    return (1 + hits) / (bootstrap + 1)

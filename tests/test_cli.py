@@ -10,7 +10,7 @@ import pytest
 
 from ordmed import (Instance, PointSet, WeightVector, build_bep, build_ot,
                     generate_ball, resolve_weights, write_instance)
-from ordmed.cli import main
+from ordmed.cli import build_parser, main
 from ordmed.instance import WEIGHT_GRAMMAR
 
 from helpers import T1_COORDS, stop_above_the_optimum
@@ -398,6 +398,28 @@ class TestExperiment:
                            "--subsample", "6", "--bootstrap", "100")
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[1] == "6"
+
+
+class TestParserCache:
+    def test_back_to_back_calls_match_fresh_ones(self, capsys, t1_path, ball_path):
+        # one cached parser serves every call; repeatable flags must not
+        # carry values from one call into the next
+        calls = [["experiment", "--instance", t1_path, "--instance", ball_path,
+                  "--weights", "median", "--weights", "center", "--p", "1",
+                  "--bootstrap", "100"],
+                 ["experiment", "--instance", ball_path, "--weights", "ksum:2",
+                  "--p", "2", "--bootstrap", "100", "--seed", "3"],
+                 ["solve", "--instance", t1_path, "--weights", "center"],
+                 ["frobnicate"]]
+        calls += calls[:2]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        build_parser.cache_clear()
+        assert [run(capsys, *argv) for argv in calls] == fresh
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0]
 
 
 class TestExitCodes:

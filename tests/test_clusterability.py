@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordmed import (
     DistanceMatrix,
@@ -16,9 +18,11 @@ from ordmed import (
     mds_1d,
 )
 from ordmed.bench_io import generate_ball, generate_uniform
-from ordmed.clusterability import HIGH, LOW, MDS_THRESHOLD, MIDDLE
+import ordmed.clusterability
+from ordmed.clusterability import (DIP_BOUND_TOL, HIGH, LOW, MDS_THRESHOLD,
+                                   MIDDLE, _uniform_distance)
 
-from oracles import dip_lp_oracle
+from oracles import dip_lp_oracle, dip_pvalue_reference
 
 
 def line_matrix(xs):
@@ -208,6 +212,94 @@ class TestDipPvalue:
     def test_negative_seed_checked(self):
         with pytest.raises(ParameterError, match="seed"):
             dip_pvalue(np.array([0.0, 1.0, 2.0]), bootstrap=100, seed=-1)
+
+    def test_non_integer_seed_checked(self):
+        with pytest.raises(ParameterError, match="seed must be an integer, got 1.5"):
+            dip_pvalue(np.array([0.0, 1.0, 2.0]), bootstrap=100, seed=1.5)
+
+    def test_non_integer_bootstrap_checked(self):
+        with pytest.raises(ParameterError,
+                           match="bootstrap must be an integer, got 150.0"):
+            dip_pvalue(np.array([0.0, 1.0, 2.0]), bootstrap=150.0)
+
+    def test_numpy_integers_accepted(self):
+        x = pvalue_sample("ball", 1)
+        assert (dip_pvalue(x, bootstrap=np.int64(100), seed=np.uint32(1))
+                == dip_pvalue(x, bootstrap=100, seed=1))
+
+
+@st.composite
+def dip_samples(draw):
+    """Samples with ties, clusters of any separation, or one value, at
+    scales from 1e-8 to 1e8."""
+    n = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["ties", "clusters", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        x = rng.integers(0, draw(st.integers(1, 6)), n).astype(float)
+    elif kind == "clusters":
+        sep = draw(st.floats(0.0, 5.0))
+        x = rng.normal(0.0, 0.1, n) + sep * (np.arange(n) % 2)
+    else:
+        x = np.full(n, 0.7)
+    return draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])) * x
+
+
+class TestBootstrapBound:
+    """dip_pvalue settles replicates by the distance to the uniform CDF on
+    their own range and must equal the one-dip-per-replicate loop."""
+
+    def test_uniform_distance_by_hand(self):
+        rows = np.array([[0.0, 0.5, 1.0], [2.0, 2.0, 2.0], [0.0, 0.0, 4.0]])
+        assert _uniform_distance(rows) == pytest.approx([1 / 3, 1.0, 2 / 3], abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=dip_samples(), seed=st.integers(0, 2**31))
+    def test_bound_holds_and_pvalue_is_unchanged(self, x, seed):
+        # the bound is exact arithmetic's; DIP_BOUND_TOL absorbs the
+        # round-off on both sides, as in dip_pvalue's rule (equal-step ties
+        # such as 0, 1, 1, 2, 2, 3 put the dip on the bound itself)
+        dip = dip_statistic(x).dip
+        assert _uniform_distance(np.sort(x)[None, :])[0] >= dip - DIP_BOUND_TOL
+        assert dip_pvalue(x, bootstrap=100, seed=seed) == dip_pvalue_reference(x, 100, seed)
+
+    def test_dip_on_the_bound(self):
+        x = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 3.0])
+        assert dip_statistic(x).dip == pytest.approx(1 / 6, abs=1e-15)
+        assert _uniform_distance(x[None, :])[0] == pytest.approx(1 / 6, abs=1e-15)
+
+    def test_sample_that_is_a_replicate_counts_itself(self):
+        # replicate 52 of seed 3 has the largest of the 100 dips, so it is
+        # the one hit: its dip equals the observed one
+        x = np.random.default_rng([3, 52]).random(45)
+        assert dip_pvalue(x, bootstrap=100, seed=3) == 2 / 101
+        assert dip_pvalue_reference(x, 100, 3) == 2 / 101
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, 0.0, 1.0], [4.0, -1.0, 2.5],
+                                   [3.0] * 9], ids=["n2", "n3-tie", "n3", "constant"])
+    def test_samples_on_the_floor_have_pvalue_one(self, x):
+        # every replicate's dip is at least the observed 1/(2n) floor
+        assert dip_pvalue(x, bootstrap=100, seed=5) == 1.0
+        assert dip_pvalue_reference(np.asarray(x), 100, 5) == 1.0
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("kind", ["ball", "uniform"])
+    def test_blocks_of_a_few_rows(self, monkeypatch, kind, rows):
+        x = pvalue_sample(kind, 1)
+        want = dip_pvalue_reference(x, 100, 1)
+        monkeypatch.setattr(ordmed.clusterability, "DIP_BLOCK", rows * len(x))
+        assert dip_pvalue(x, bootstrap=100, seed=1) == want
+
+    def test_bound_settles_most_of_a_clustered_sample(self, monkeypatch):
+        _, dist = generate_ball(10, 3, 0.1, 1.0, seed=0)
+        x = clusterability_sample(dist)
+        want = dip_pvalue_reference(x, 200, 0)
+        calls, walk = [], ordmed.clusterability._sorted_dip
+        monkeypatch.setattr(ordmed.clusterability, "_sorted_dip",
+                            lambda row: calls.append(row) or walk(row))
+        assert dip_pvalue(x, bootstrap=200, seed=0) == want
+        # one walk for the observed dip, then 99 of the 200 replicates
+        assert len(calls) == 1 + 99
 
 
 class TestMds1d:
