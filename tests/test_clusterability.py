@@ -256,17 +256,12 @@ class TestBootstrapBound:
     @settings(max_examples=60, deadline=None)
     @given(x=dip_samples(), seed=st.integers(0, 2**31))
     def test_bound_holds_and_pvalue_is_unchanged(self, x, seed):
-        # the bound is exact arithmetic's; DIP_BOUND_TOL absorbs the
+        # the bound holds in exact arithmetic; DIP_BOUND_TOL absorbs the
         # round-off on both sides, as in dip_pvalue's rule (equal-step ties
         # such as 0, 1, 1, 2, 2, 3 put the dip on the bound itself)
         dip = dip_statistic(x).dip
         assert _uniform_distance(np.sort(x)[None, :])[0] >= dip - DIP_BOUND_TOL
         assert dip_pvalue(x, bootstrap=100, seed=seed) == dip_pvalue_reference(x, 100, seed)
-
-    def test_dip_on_the_bound(self):
-        x = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 3.0])
-        assert dip_statistic(x).dip == pytest.approx(1 / 6, abs=1e-15)
-        assert _uniform_distance(x[None, :])[0] == pytest.approx(1 / 6, abs=1e-15)
 
     def test_sample_that_is_a_replicate_counts_itself(self):
         # replicate 52 of seed 3 has the largest of the 100 dips, so it is
@@ -290,7 +285,7 @@ class TestBootstrapBound:
         monkeypatch.setattr(ordmed.clusterability, "DIP_BLOCK", rows * len(x))
         assert dip_pvalue(x, bootstrap=100, seed=1) == want
 
-    def test_bound_settles_most_of_a_clustered_sample(self, monkeypatch):
+    def test_bound_settles_half_of_a_clustered_sample(self, monkeypatch):
         _, dist = generate_ball(10, 3, 0.1, 1.0, seed=0)
         x = clusterability_sample(dist)
         want = dip_pvalue_reference(x, 200, 0)
