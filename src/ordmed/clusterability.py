@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SizeGuardError
-from .instance import DistanceMatrix
+from .instance import DistanceMatrix, _integer
 
 MDS_THRESHOLD = 60
 DIP_BOUND_TOL = 1e-12  # round-off a computed dip, or its uniform-CDF bound, may carry
@@ -237,14 +236,6 @@ def _uniform_distance(x: np.ndarray) -> np.ndarray:
     t = (x - x[:, :1]) / np.where(span > 0.0, span, 1.0)
     steps = np.arange(n + 1) / n
     return np.maximum(steps[1:] - t, t - steps[:-1]).max(axis=1)
-
-
-def _integer(value, name: str) -> int:
-    """value as a Python int, else a ParameterError naming the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def mds_1d(dist: DistanceMatrix) -> np.ndarray:

@@ -11,6 +11,7 @@ diagonal, triangle inequality) is checked explicitly through
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,14 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _integer(value, name: str) -> int:
+    """value as a Python int, else a ParameterError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +143,7 @@ class Instance:
             raise ParameterError(
                 f"weight length {self.weights.m} != point count {self.dist.m}"
             )
+        object.__setattr__(self, "p", _integer(self.p, "p"))
         if not (1 <= self.p <= self.dist.m):
             raise ParameterError(f"p must be in [1, {self.dist.m}], got {self.p}")
         if self.points is not None:
@@ -226,37 +236,27 @@ def validate_metric(dist: DistanceMatrix | np.ndarray) -> ValidationReport:
     d = dist.d if isinstance(dist, DistanceMatrix) else np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or not d.size:
         raise ParameterError(f"validate_metric needs a nonempty square matrix, got {d.shape}")
-    m = d.shape[0]
     scale = METRIC_RTOL * float(np.max(np.abs(d)))
 
-    asym = np.abs(d - d.T)
-    symmetry_ok = bool(np.max(asym) <= scale)
-    symmetry_witness = None
-    if not symmetry_ok:
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-        symmetry_witness = (int(i), int(j), float(asym[i, j]))
+    def worst(excess):  # (within scale?, position of the largest entry)
+        at = np.unravel_index(int(np.argmax(excess)), excess.shape)
+        return bool(excess[at] <= scale), tuple(int(x) for x in at)
 
-    diag = np.abs(np.diag(d))
-    diagonal_ok = bool(np.max(diag) <= scale)
-    diagonal_witness = None
-    if not diagonal_ok:
-        i = int(np.argmax(diag))
-        diagonal_witness = (i, float(d[i, i]))
-
-    # worst over (i,j) of d_ij - min_k (d_ik + d_kj); k=i makes this >= 0
-    through = d[:, :, None] + d.T[None, :, :]  # [i, k, j] = d_ik + d_kj
-    best = np.min(through, axis=1)
-    viol = d - best
-    triangle_ok = bool(np.max(viol) <= scale)
-    triangle_witness = None
-    if not triangle_ok:
-        i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        k = int(np.argmin(through[i, :, j]))
-        triangle_witness = (int(i), int(k), int(j), float(viol[i, j]))
-
+    # best[i, j] = min_k (d_ik + d_kj), relaxing one k at a time as
+    # floyd_warshall does, so only m x m values are held
+    best = np.full_like(d, np.inf)
+    for k in range(d.shape[0]):
+        np.minimum(best, d[:, k, None] + d[None, k, :], out=best)
+    asym, viol = np.abs(d - d.T), d - best
+    symmetry_ok, (si, sj) = worst(asym)
+    diagonal_ok, (di,) = worst(np.abs(np.diag(d)))
+    triangle_ok, (ti, tj) = worst(viol)
     return ValidationReport(
         symmetry_ok, diagonal_ok, triangle_ok,
-        symmetry_witness, diagonal_witness, triangle_witness,
+        None if symmetry_ok else (si, sj, float(asym[si, sj])),
+        None if diagonal_ok else (di, float(d[di, di])),
+        None if triangle_ok else
+        (ti, int(np.argmin(d[ti] + d[:, tj])), tj, float(viol[ti, tj])),
     )
 
 
@@ -328,23 +328,24 @@ def resolve_weights(spec: str, m: int) -> WeightVector:
     if name == "file":
         if len(lam) != m:
             raise ParameterError(f"explicit weights have length {len(lam)}, expected {m}")
-    elif name == "median":
-        lam = np.ones(m)
-    elif name == "center":
-        lam = np.zeros(m)
-        lam[0] = 1.0
-    elif name == "ksum":
-        k = max(1, math.ceil(m / 4)) if arg == "auto" else arg
-        if not 1 <= k <= m:
-            raise ParameterError(f"ksum needs 1 <= k <= {m}, got {k}")
-        lam = np.zeros(m)
-        lam[:k] = 1.0
-    else:  # centdian
-        if not 0.0 <= arg <= 1.0:
-            raise ParameterError(f"centdian needs 0 <= gamma <= 1, got {arg}")
-        lam = np.full(m, arg)
-        lam[0] = 1.0
-    return WeightVector(lam)
+        return WeightVector(lam)
+    if name == "ksum":
+        arg = max(1, math.ceil(m / 4)) if arg == "auto" else arg
+        if not 1 <= arg <= m:
+            raise ParameterError(f"ksum needs 1 <= k <= {m}, got {arg}")
+    if name == "centdian" and not 0.0 <= arg <= 1.0:
+        raise ParameterError(f"centdian needs 0 <= gamma <= 1, got {arg}")
+    return WeightVector(_family(name, arg, m))
+
+
+def _family(name: str, arg, m: int) -> np.ndarray:
+    """The family's vector of length m: median (1,...,1), center (1,0,...,0),
+    ksum k ones then zeros, centdian (1,g,...,g). arg is k or g, unchecked."""
+    if name == "median":
+        return np.ones(m)
+    lam = np.full(m, arg if name == "centdian" else 0.0)
+    lam[:arg if name == "ksum" else 1] = 1.0
+    return lam
 
 
 @dataclass(frozen=True)
@@ -368,21 +369,11 @@ def classify_weights(weights: WeightVector) -> WeightClass:
     if scale == 0.0:
         return WeightClass("median", None, 0.0)
     v = lam / scale
-    m = v.size
-    ones = np.ones(m)
-    if np.array_equal(v, ones):
-        return WeightClass("median", None, scale)
-    center = np.zeros(m)
-    center[0] = 1.0
-    if np.array_equal(v, center):
-        return WeightClass("center", None, scale)
+    # the only k and g that can match: the count of ones, and the last entry
     k = int(np.sum(v == 1.0))
-    if np.array_equal(v, np.concatenate([np.ones(k), np.zeros(m - k)])):
-        return WeightClass("ksum", float(k), scale)
-    if m >= 2 and v[0] == 1.0:
-        gamma = float(v[1])
-        if 0.0 < gamma < 1.0 and np.all(v[1:] == gamma):
-            return WeightClass("centdian", gamma, scale)
+    for family, param in ("median", None), ("center", None), ("ksum", k), ("centdian", v[-1]):
+        if np.array_equal(v, _family(family, param, v.size)):
+            return WeightClass(family, None if param is None else float(param), scale)
     return WeightClass("general", None, scale)
 
 
@@ -412,38 +403,21 @@ def read_instance(path) -> tuple[DistanceMatrix, PointSet | None, int, WeightVec
     counts = _parse_ints(parts, no)
     if min(counts[:-1]) < 1:
         raise ParseError("point and coordinate counts must be positive", no)
-    if len(parts) == 2:
-        m, p = counts
-        if len(lines) < 2 + m:
-            raise ParseError(f"expected weight line plus {m} matrix rows", no)
-        wno, wline = lines[1]
-        lam = _parse_floats(wline.split(), wno)
-        if len(lam) != m:
-            raise ParseError(f"expected {m} weights, got {len(lam)}", wno)
-        rows = []
-        for rno, rline in lines[2:2 + m]:
-            row = _parse_floats(rline.split(), rno)
-            if len(row) != m:
-                raise ParseError(f"expected {m} entries, got {len(row)}", rno)
-            rows.append(row)
-        if len(lines) > 2 + m:
-            raise ParseError(f"trailing row after the {m} matrix rows",
-                             lines[2 + m][0])
-        dist = DistanceMatrix(np.array(rows))
-        return dist, None, p, WeightVector(np.array(lam))
-    m, n, p = counts
-    if len(lines) < 1 + m:
-        raise ParseError(f"expected {m} coordinate rows", no)
-    coords = []
-    for rno, rline in lines[1:1 + m]:
-        row = _parse_floats(rline.split(), rno)
-        if len(row) != n:
-            raise ParseError(f"expected {n} coordinates, got {len(row)}", rno)
-        coords.append(row)
-    if len(lines) > 1 + m:
-        raise ParseError(f"trailing row after the {m} coordinate rows",
-                         lines[1 + m][0])
-    points = PointSet(np.array(coords))
+    matrix = len(parts) == 2
+    m, p = counts[0], counts[-1]
+    width = m if matrix else counts[1]
+    kind, first = ("matrix", 2) if matrix else ("coordinate", 1)
+    if len(lines) < first + m:
+        need = f"weight line plus {m}" if matrix else m
+        raise ParseError(f"expected {need} {kind} rows", no)
+    lam = _read_row(lines[1], m, "weights") if matrix else None
+    rows = np.array([_read_row(line, width, "entries" if matrix else "coordinates")
+                     for line in lines[first:first + m]])
+    if len(lines) > first + m:
+        raise ParseError(f"trailing row after the {m} {kind} rows", lines[first + m][0])
+    if matrix:
+        return DistanceMatrix(rows), None, p, WeightVector(lam)
+    points = PointSet(rows)
     return points.distance_matrix(), points, p, None
 
 
@@ -460,17 +434,15 @@ def write_instance(path, dist: DistanceMatrix | None = None,
 
 def _write_instance(fh, dist, points, p, weights) -> None:
     if points is not None:
-        fh.write(f"{points.m} {points.n} {p}\n")
-        for row in points.coords:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-        return
-    if dist is None:
+        header, rows = f"{points.m} {points.n} {p}", points.coords
+    elif dist is None:
         raise ParameterError("write_instance needs a matrix or points")
-    if weights is None:
-        weights = resolve_weights("median", dist.m)
-    fh.write(f"{dist.m} {p}\n")
-    fh.write(" ".join(repr(float(x)) for x in weights.lam) + "\n")
-    for row in dist.d:
+    else:
+        if weights is None:
+            weights = resolve_weights("median", dist.m)
+        header, rows = f"{dist.m} {p}", [weights.lam, *dist.d]
+    fh.write(header + "\n")
+    for row in rows:
         fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
@@ -481,11 +453,16 @@ def _parse_ints(tokens, line_no: int) -> list[int]:
         raise ParseError(f"expected integers, got {tokens!r}", line_no) from exc
 
 
-def _parse_floats(tokens, line_no: int) -> list[float]:
+def _read_row(line: tuple[int, str], width: int, what: str) -> list[float]:
+    """The finite numbers of one numbered file line, exactly width of them."""
+    no, text = line
+    tokens = text.split()
     try:
-        out = [float(t) for t in tokens]
+        row = [float(t) for t in tokens]
     except ValueError as exc:
-        raise ParseError(f"expected numbers, got {tokens!r}", line_no) from exc
-    if not all(math.isfinite(x) for x in out):
-        raise ParseError("non-finite number", line_no)
-    return out
+        raise ParseError(f"expected numbers, got {tokens!r}", no) from exc
+    if not all(math.isfinite(x) for x in row):
+        raise ParseError("non-finite number", no)
+    if len(row) != width:
+        raise ParseError(f"expected {width} {what}, got {len(row)}", no)
+    return row

@@ -7,11 +7,11 @@ import numpy as np
 
 import ordmed.exact
 from ordmed import (DistanceMatrix, Instance, PointSet, WeightVector,
-                    closest_allocation, embed_integral, generate_uniform,
-                    resolve_weights, solve_enumeration)
+                    closest_allocation, embed_integral, fixture_t1,
+                    generate_uniform, resolve_weights, solve_enumeration)
 
 # Five points on a line; every pairwise distance is distinct.
-T1_COORDS = (0.0, 1.0, 3.0, 7.0, 12.0)
+T1_COORDS = tuple(fixture_t1().coords[:, 0].tolist())
 
 
 def t1_instance(spec="median", p=1) -> Instance:

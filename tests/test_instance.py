@@ -2,6 +2,7 @@
 
 import copy
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,35 @@ class TestValidateMetric:
         i, k, j, mag = rep.triangle_witness
         assert (i, k, j) == (0, 2, 1)
         assert mag == pytest.approx(3.0)
+
+    def test_triangle_witness_on_asymmetric_input(self):
+        # d_01 = 5 > d_02 + d_21 = 2; no path through k = i is a violation
+        d = np.array([[0.0, 5.0, 1.0], [7.0, 0.0, 10.0], [1.0, 1.0, 0.0]])
+        assert validate_metric(d).triangle_witness == (0, 2, 1, 3.0)
+
+    def test_triangle_witness_matches_every_path(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            m = int(rng.integers(2, 7))
+            d = rng.uniform(0.0, 10.0, size=(m, m))
+            rep = validate_metric(d)
+            through = d[:, :, None] + d[None, :, :]  # [i, k, j] = d_ik + d_kj
+            viol = d - through.min(axis=1)
+            assert rep.triangle_ok == (viol.max() <= METRIC_RTOL * d.max())
+            if not rep.triangle_ok:
+                i, k, j, mag = rep.triangle_witness
+                assert mag == viol.max() == d[i, j] - through[i, k, j]
+
+    def test_audit_holds_quadratic_memory(self):
+        # an m x m x m tensor of float64 at m = 300 is 216 MB
+        d = PointSet(random_points(np.random.default_rng(0), 300)).distance_matrix()
+        tracemalloc.start()
+        try:
+            assert validate_metric(d).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_diagonal_witness(self):
         d = np.array([[0.5, 1.0], [1.0, 0.0]])
@@ -285,6 +315,16 @@ class TestInstanceValidation:
         with pytest.raises(ParameterError):
             Instance(d, w, 4)
 
+    @pytest.mark.parametrize("p", [2.5, 2.0, "2"])
+    def test_p_must_be_an_integer(self, p):
+        with pytest.raises(ParameterError, match="^p must be an integer, got "):
+            Instance(line_matrix([0.0, 1.0, 3.0]), resolve_weights("median", 3), p)
+
+    def test_numpy_integer_p_is_stored_as_int(self):
+        inst = Instance(line_matrix([0.0, 1.0, 3.0]), resolve_weights("median", 3),
+                        np.int64(2))
+        assert type(inst.p) is int and inst.p == 2
+
     def test_points_must_reproduce_matrix(self):
         d = line_matrix([0.0, 1.0, 3.0])
         bad = PointSet(np.array([[0.0], [1.0], [4.0]]))
@@ -410,6 +450,21 @@ class TestInstanceFiles:
             "negative-m-matrix", "zero-m", "zero-n"])
     def test_each_parse_error(self, tmp_path, text, line, message):
         path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_instance(path)
+        assert exc.value.line == line
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("2 1\n1 1\n0 x\n1 0\n9 9\n", 3, "expected numbers"),
+        ("2 1\n1 1\n0 1 2\n1 0\n9 9\n", 3, "expected 2 entries, got 3"),
+        ("2 1 1\n0\nnan\n5\n", 3, "non-finite number"),
+        ("2 1\n1 1 1\n0 x\n1 0\n", 2, "expected 2 weights, got 3"),
+    ], ids=["malformed-before-trailing", "width-before-trailing",
+            "coordinate-before-trailing", "weights-before-matrix-row"])
+    def test_first_error_in_line_order_wins(self, tmp_path, text, line, message):
+        path = tmp_path / "two-errors.txt"
         path.write_text(text)
         with pytest.raises(ParseError) as exc:
             read_instance(path)
