@@ -89,10 +89,9 @@ def parse_pmed(path) -> EdgeGraph:
         i, no_i = take("edge endpoint")
         j, no_j = take("edge endpoint")
         cost, no_c = take("edge cost")
-        if not (1 <= i <= n):
-            raise ParseError(f"vertex {i} out of range [1, {n}]", no_i)
-        if not (1 <= j <= n):
-            raise ParseError(f"vertex {j} out of range [1, {n}]", no_j)
+        for v, no_v in (i, no_i), (j, no_j):
+            if not (1 <= v <= n):
+                raise ParseError(f"vertex {v} out of range [1, {n}]", no_v)
         if cost <= 0:
             raise ParseError(f"edge cost must be positive, got {cost}", no_c)
         key = (min(i, j) - 1, max(i, j) - 1)
@@ -165,9 +164,8 @@ def generate_ball(m: int, p_clusters: int, radius: float, separation: float,
     rows = []
     for center, count in zip(centers, counts):
         for _ in range(count):
-            direction = rng.normal(size=dim)
-            norm = float(np.linalg.norm(direction))
-            while norm == 0.0:
+            norm = 0.0
+            while norm == 0.0:  # redraw the (measure-zero) zero direction
                 direction = rng.normal(size=dim)
                 norm = float(np.linalg.norm(direction))
             dist_from_center = radius * float(rng.uniform()) ** (1.0 / dim)
@@ -232,12 +230,13 @@ class ExperimentRow:
     error: str = ""
 
 
-def profile_instances(dists, *, bootstrap: int, seed: int) -> list[tuple]:
-    """(dip, dip p-value, dip-stat label, dip-pvalue label) per distance matrix.
+def profile_instances(dists, *, bootstrap: int, seed: int) -> list[dict]:
+    """Per distance matrix, a record of ExperimentRow's four dip columns.
 
-    Instance k bootstraps its p-value with seed + k, so the clusterability
-    and experiment commands give equal inputs equal p-values. An instance
-    whose dip cannot be computed (a sample of fewer than 2 values, a negative
+    Its keys are dip, dip_pvalue, label_dip and label_pvalue. Instance k
+    bootstraps its p-value with seed + k, so the clusterability and
+    experiment commands give equal inputs equal p-values. An instance whose
+    dip cannot be computed (a sample of fewer than 2 values, a negative
     seed) gets None for both values and blank labels. Labels rank each
     instance against the others that have a dip; with fewer than two such
     instances they stay blank.
@@ -246,19 +245,20 @@ def profile_instances(dists, *, bootstrap: int, seed: int) -> list[tuple]:
     for k, dist in enumerate(dists):
         try:
             sample = clusterability_sample(dist)
-            profiles.append((dip_statistic(sample).dip,
-                             dip_pvalue(sample, bootstrap=bootstrap, seed=seed + k)))
+            dip = dip_statistic(sample).dip
+            pvalue = dip_pvalue(sample, bootstrap=bootstrap, seed=seed + k)
         except OrdmedError:
-            profiles.append((None, None))
-    labels = [("", "")] * len(profiles)
-    scored = [k for k, (dip, _) in enumerate(profiles) if dip is not None]
+            dip = pvalue = None
+        profiles.append({"dip": dip, "dip_pvalue": pvalue, "label_dip": "",
+                         "label_pvalue": ""})
+    scored = [rec for rec in profiles if rec["dip"] is not None]
     if len(scored) >= 2:
-        dips, pvalues = zip(*(profiles[k] for k in scored))
-        for k, by_dip, by_pvalue in zip(
-                scored, classify_collection(dips, basis="dip-stat"),
-                classify_collection(pvalues, basis="dip-pvalue")):
-            labels[k] = (by_dip, by_pvalue)
-    return [profile + label for profile, label in zip(profiles, labels)]
+        for value, label, basis in (("dip", "label_dip", "dip-stat"),
+                                    ("dip_pvalue", "label_pvalue", "dip-pvalue")):
+            labels = classify_collection([rec[value] for rec in scored], basis=basis)
+            for rec, text in zip(scored, labels):
+                rec[label] = text
+    return profiles
 
 
 def _run_cell(dist, points, spec, p):
@@ -291,13 +291,10 @@ def run_experiment(instances, families, p_values, *, seed: int = 0,
     input order (instance, then family, then p). The dip columns and labels
     come from profile_instances and repeat on each of an instance's rows.
     """
-    shared = [  # the fields every row of one instance repeats
-        {"dip": dip, "dip_pvalue": pval, "label_dip": label_dip,
-         "label_pvalue": label_pvalue,
-         "free_of_equidistance": is_free_of_equidistance(dist)}
-        for (_, dist, _), (dip, pval, label_dip, label_pvalue) in zip(
-            instances, profile_instances([dist for _, dist, _ in instances],
-                                         bootstrap=bootstrap, seed=seed))]
+    shared = profile_instances([dist for _, dist, _ in instances],
+                               bootstrap=bootstrap, seed=seed)
+    for (_, dist, _), rec in zip(instances, shared):  # fields every row repeats
+        rec["free_of_equidistance"] = is_free_of_equidistance(dist)
 
     def solve(idx, name, dist, points, spec, p):
         family = ""

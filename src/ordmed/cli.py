@@ -29,10 +29,6 @@ from .formulations import build_bep, build_ot
 from .instance import WEIGHT_GRAMMAR, Instance, PointSet, parse_weight_spec, \
     read_instance, resolve_weights, write_instance
 
-_CLUSTERABILITY_HEADER = ("instance", "dip", "dip_pvalue", "label_dip",
-                          "label_pvalue")
-
-
 def _weight_spec(text: str) -> str:
     """The library's m-free spec check; range checks against m happen at build time."""
     try:
@@ -169,10 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_lines(records) -> str:
-    return "".join(json.dumps(rec) + "\n" for rec in records)
-
-
 def _emit(text: str, ns: argparse.Namespace) -> None:
     if ns.output:
         with open(ns.output, "w", encoding="utf-8") as fh:
@@ -182,11 +174,15 @@ def _emit(text: str, ns: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _emit_pairs(pairs, ns: argparse.Namespace) -> None:
+def _emit_records(records, ns: argparse.Namespace, table=None) -> None:
+    """Write records as JSON lines under --json, else table() or `key value` lines."""
     if ns.json_lines:
-        _emit(_json_lines([dict(pairs)]), ns)
+        _emit("".join(json.dumps(rec) + "\n" for rec in records), ns)
+    elif table is not None:
+        _emit(table(), ns)
     else:
-        _emit("".join(f"{key} {format_cell(val)}\n" for key, val in pairs), ns)
+        _emit("".join(f"{key} {format_cell(val)}\n" for rec in records
+                      for key, val in rec.items()), ns)
 
 
 def _read(path, subsample, *, pmed=False):
@@ -222,9 +218,8 @@ def _load_instance(ns: argparse.Namespace) -> Instance:
 def _cmd_solve(ns: argparse.Namespace) -> int:
     inst = _load_instance(ns)
     sol = solve_enumeration(inst)
-    _emit_pairs([("v_ip", sol.value),
-                 ("centers", list(sol.centers)),
-                 ("assignment", list(sol.assignment))], ns)
+    _emit_records([{"v_ip": sol.value, "centers": list(sol.centers),
+                    "assignment": list(sol.assignment)}], ns)
     return 0
 
 
@@ -232,9 +227,9 @@ def _cmd_relax(ns: argparse.Namespace) -> int:
     inst = _load_instance(ns)
     build = build_bep if ns.formulation == "bep" else build_ot
     report = recovery_status(inst, model=build(inst))
-    _emit_pairs([("v_ip", report.v_ip), ("v_lp", report.v_lp),
-                 ("gap_lp", report.gap_lp), ("recovered", report.recovered),
-                 ("vertex_integral", report.vertex_integral)], ns)
+    _emit_records([{"v_ip": report.v_ip, "v_lp": report.v_lp,
+                    "gap_lp": report.gap_lp, "recovered": report.recovered,
+                    "vertex_integral": report.vertex_integral}], ns)
     print(f"relaxation {'matches' if report.recovered else 'is below'} "
           f"the exact optimum on {ns.instance}", file=sys.stderr)
     return 0
@@ -244,15 +239,15 @@ def _cmd_certify(ns: argparse.Namespace) -> int:
     inst = _load_instance(ns)
     sol = solve_enumeration(inst)
     cert, verdict = search_certificate(inst, sol, strict=ns.strict)
-    pairs = [("v_ip", sol.value), ("centers", list(sol.centers)),
-             ("found", cert is not None)]
+    record = {"v_ip": sol.value, "centers": list(sol.centers),
+              "found": cert is not None}
     if cert is not None:
-        pairs += [("omega", cert.omega), ("alpha", list(cert.alpha)),
-                  ("holds", verdict.holds), ("strict", verdict.strict)]
+        record.update(omega=cert.omega, alpha=list(cert.alpha),
+                      holds=verdict.holds, strict=verdict.strict)
     else:
         print(f"no {'strict ' if ns.strict else ''}certificate exists for "
               "this solution", file=sys.stderr)
-    _emit_pairs(pairs, ns)
+    _emit_records([record], ns)
     return 0
 
 
@@ -262,23 +257,18 @@ def _cmd_clusterability(ns: argparse.Namespace) -> int:
     profiles = profile_instances(
         [_read(path, ns.subsample)[0] for path in ns.instance],
         bootstrap=ns.bootstrap, seed=ns.seed)
-    rows = [(path, *profile) for path, profile in zip(ns.instance, profiles)]
-    for path, dip, *_ in rows:
-        if dip is None:
-            raise OrdmedError(f"{path}: cannot profile this instance; the "
-                              "dip statistic needs at least 2 values")
-    if ns.json_lines:
-        _emit(_json_lines(dict(zip(_CLUSTERABILITY_HEADER, row))
-                          for row in rows), ns)
-    else:
-        _emit(format_csv(_CLUSTERABILITY_HEADER, rows), ns)
+    records = [{"instance": path, **profile}
+               for path, profile in zip(ns.instance, profiles)]
+    for rec in records:
+        if rec["dip"] is None:
+            raise OrdmedError(f"{rec['instance']}: cannot profile this "
+                              "instance; the dip statistic needs at least 2 values")
+    _emit_records(records, ns, lambda: format_csv(
+        records[0], [rec.values() for rec in records]))
     return 0
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
-    if ns.p is not None and ns.p > ns.m:
-        raise ParameterError(f"--p {ns.p} exceeds --m {ns.m}; an instance "
-                             "opens at most m centers")
     if ns.generator == "ball":
         points, _ = generate_ball(ns.m, ns.clusters, ns.radius,
                                   ns.separation, dim=ns.dim, seed=ns.seed)
@@ -303,11 +293,9 @@ def _cmd_experiment(ns: argparse.Namespace) -> int:
                for path in ns.pmed]
     rows = run_experiment(loaded, ns.weights or ["median"], ns.p or [2],
                           seed=ns.seed, bootstrap=ns.bootstrap)
-    if ns.json_lines:
-        _emit(_json_lines(row_values(row, include_times=ns.include_times)
-                          for row in rows), ns)
-    else:
-        _emit(rows_to_csv(rows, include_times=ns.include_times), ns)
+    _emit_records((row_values(row, include_times=ns.include_times)
+                   for row in rows), ns,
+                  lambda: rows_to_csv(rows, include_times=ns.include_times))
     failures = sum(1 for row in rows if row.error)
     print(f"{len(rows)} rows, {failures} failed", file=sys.stderr)
     return 0
@@ -324,13 +312,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 2
+        return exc.code
     try:
         return _HANDLERS[ns.subcommand](ns)
     except (OrdmedError, OSError) as exc:

@@ -35,6 +35,20 @@ def _integer(value, name: str) -> int:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _center_count(p, m: int) -> int:
+    """p as a Python int in [1, m], else a ParameterError."""
+    p = _integer(p, "p")
+    if not 1 <= p <= m:
+        raise ParameterError(f"p must be in [1, {m}], got {p}")
+    return p
+
+
+def _check_weights(weights, m: int) -> None:
+    """Raise ParameterError unless there is one weight per point."""
+    if weights.m != m:
+        raise ParameterError(f"weight length {weights.m} != point count {m}")
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Square matrix of pairwise costs d[i][j].
@@ -139,13 +153,8 @@ class Instance:
     points: PointSet | None = None
 
     def __post_init__(self):
-        if self.weights.m != self.dist.m:
-            raise ParameterError(
-                f"weight length {self.weights.m} != point count {self.dist.m}"
-            )
-        object.__setattr__(self, "p", _integer(self.p, "p"))
-        if not (1 <= self.p <= self.dist.m):
-            raise ParameterError(f"p must be in [1, {self.dist.m}], got {self.p}")
+        _check_weights(self.weights, self.dist.m)
+        object.__setattr__(self, "p", _center_count(self.p, self.dist.m))
         if self.points is not None:
             if self.points.m != self.dist.m:
                 raise ParameterError("coordinate count != distance matrix size")
@@ -424,26 +433,28 @@ def read_instance(path) -> tuple[DistanceMatrix, PointSet | None, int, WeightVec
 def write_instance(path, dist: DistanceMatrix | None = None,
                    points: PointSet | None = None, p: int = 1,
                    weights: WeightVector | None = None) -> None:
-    """Write an instance file (coordinate or matrix format) to a path or stream."""
-    if hasattr(path, "write"):
-        _write_instance(path, dist, points, p, weights)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_instance(fh, dist, points, p, weights)
+    """Write an instance file (coordinate or matrix format) to a path or stream.
 
-
-def _write_instance(fh, dist, points, p, weights) -> None:
+    What read_instance or Instance would refuse (no matrix or points, a p
+    that is not an integer in [1, m], weights of another length than m)
+    raises ParameterError before any file is opened.
+    """
     if points is not None:
-        header, rows = f"{points.m} {points.n} {p}", points.coords
+        m, header, rows = points.m, f"{points.m} {points.n}", points.coords
     elif dist is None:
         raise ParameterError("write_instance needs a matrix or points")
     else:
         if weights is None:
             weights = resolve_weights("median", dist.m)
-        header, rows = f"{dist.m} {p}", [weights.lam, *dist.d]
-    fh.write(header + "\n")
-    for row in rows:
-        fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+        _check_weights(weights, dist.m)
+        m, header, rows = dist.m, f"{dist.m}", [weights.lam, *dist.d]
+    text = f"{header} {_center_count(p, m)}\n" + "".join(
+        " ".join(repr(float(x)) for x in row) + "\n" for row in rows)
+    if hasattr(path, "write"):
+        path.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _parse_ints(tokens, line_no: int) -> list[int]:

@@ -285,6 +285,17 @@ class TestClusterability:
         assert set(recs[0]) == {"instance", "dip", "dip_pvalue",
                                 "label_dip", "label_pvalue"}
 
+    def test_instance_without_a_dip_is_one_error_line(self, capsys, ball_path,
+                                                      tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("1 1 1\n0.0\n")
+        code, out, err = run(capsys, "clusterability", "--instance", ball_path,
+                             "--instance", str(path), "--bootstrap", "100")
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {path}: cannot profile this instance; the dip "
+                       "statistic needs at least 2 values\n")
+
     def test_comma_in_a_path_stays_one_field(self, capsys, t1_path, tmp_path):
         path = tmp_path / "a,b" / "x.txt"
         path.parent.mkdir()

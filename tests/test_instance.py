@@ -18,6 +18,7 @@ from ordmed import (
     WeightVector,
     classify_weights,
     closest_allocation,
+    fixture_t1,
     is_free_of_equidistance,
     read_instance,
     resolve_weights,
@@ -63,6 +64,7 @@ class TestValidateMetric:
         i, k, j, mag = rep.triangle_witness
         assert (i, k, j) == (0, 2, 1)
         assert mag == pytest.approx(3.0)
+        assert rep.violations() == ["triangle violated at (0,2,1), magnitude 3"]
 
     def test_triangle_witness_on_asymmetric_input(self):
         # d_01 = 5 > d_02 + d_21 = 2; no path through k = i is a violation
@@ -365,9 +367,19 @@ class TestInstanceValidation:
         (lambda: parse_weight_spec("file:"), "file spec needs a path, e.g. file:weights.txt"),
         (lambda: resolve_weights("median", 0), "m must be positive, got 0"),
         (lambda: write_instance(io.StringIO()), "write_instance needs a matrix or points"),
+        (lambda: write_instance(io.StringIO(), points=fixture_t1(), p=2.5),
+         "p must be an integer, got 2.5"),
+        (lambda: write_instance(io.StringIO(), points=fixture_t1(), p=9),
+         "p must be in [1, 5], got 9"),
+        (lambda: write_instance(io.StringIO(), dist=line_matrix(T1_COORDS), p=0),
+         "p must be in [1, 5], got 0"),
+        (lambda: write_instance(io.StringIO(), dist=line_matrix(T1_COORDS),
+                                weights=resolve_weights("median", 3)),
+         "weight length 3 != point count 5"),
     ], ids=["matrix-shape", "matrix-finite", "coords-shape", "coords-finite",
             "weights-shape", "weights-finite", "coordinate-count", "median-param",
-            "file-path", "m-zero", "write-nothing"])
+            "file-path", "m-zero", "write-nothing", "write-fractional-p",
+            "write-p-above-m", "write-p-zero", "write-short-weights"])
     def test_malformed_input_refused(self, make, message):
         with pytest.raises(ParameterError) as info:
             make()
@@ -400,6 +412,12 @@ class TestInstanceFiles:
         assert rp == 1
         assert np.allclose(rpts.coords, pts.coords)
         assert rd.d[0, 1] == pytest.approx(5.0)
+
+    def test_refused_write_opens_no_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        with pytest.raises(ParameterError):
+            write_instance(path, points=fixture_t1(), p=6)
+        assert not path.exists()
 
     def test_stream_write(self):
         buf = io.StringIO()
